@@ -102,6 +102,12 @@ SCENARIOS = (
     ("sr", "sr", {}),
 )
 
+#: Adaptive-attack scenarios: ``(label, scheme, kwargs, attack)``.  The
+#: inconsistent attack steers on every response time, so its batches are
+#: speculative runs cut at the first visible response; a fall back to
+#: one-write batches shows here as a >10x throughput drop.
+ADAPTIVE_SCENARIOS = (("twl_inconsistent", "twl", {}, "inconsistent"),)
+
 #: Streamed scenarios: the same batched engine fed through the
 #: streaming pipeline (FTL dynamic generator -> StreamDriver) instead
 #: of an attack driver, so a throughput regression in chunk refill or
@@ -179,14 +185,18 @@ def calibrate(rounds: int = 5) -> float:
 
 
 def measure_scenario(
-    scheme_name: str, scheme_kwargs: dict, writes: int, rounds: int = _ROUNDS
+    scheme_name: str,
+    scheme_kwargs: dict,
+    writes: int,
+    rounds: int = _ROUNDS,
+    attack_name: str = _ATTACK,
 ) -> float:
     """Best-of-``rounds`` batched demand writes/second for one scenario."""
     best = 0.0
     for _ in range(rounds):
         array = PCMArray.uniform(_N_PAGES, 10**9)
         scheme = make_scheme(scheme_name, array, seed=1, **scheme_kwargs)
-        attack = make_attack(_ATTACK, scheme.logical_pages, seed=1)
+        attack = make_attack(attack_name, scheme.logical_pages, seed=1)
         engine = SimulationEngine(
             scheme, AttackDriver(attack), batch_size=_BATCH_SIZE
         )
@@ -293,6 +303,12 @@ def collect(writes: int, tag: str) -> dict:
     scenarios = {}
     for label, scheme_name, kwargs in SCENARIOS:
         wps = measure_scenario(scheme_name, kwargs, writes)
+        scenarios[label] = {
+            "batched_wps": round(wps, 1),
+            "normalized": round(wps / calibration, 3),
+        }
+    for label, scheme_name, kwargs, attack_name in ADAPTIVE_SCENARIOS:
+        wps = measure_scenario(scheme_name, kwargs, writes, attack_name=attack_name)
         scenarios[label] = {
             "batched_wps": round(wps, 1),
             "normalized": round(wps / calibration, 3),

@@ -10,6 +10,7 @@ time"; internal wear-leveling state is never exposed).
 from __future__ import annotations
 
 import abc
+import copy
 
 import numpy as np
 
@@ -47,6 +48,31 @@ class AttackWorkload(abc.ABC):
             (next_write() for _ in range(n)), dtype=np.int64, count=n
         )
 
+    def peek_writes(self, n: int) -> np.ndarray:
+        """Up to ``n`` next addresses, valid while no response flips the
+        attacker's plan, without emitting them (speculative protocol).
+
+        The caller serves a prefix of the run, emits it with
+        :meth:`advance`, and then feeds its responses back
+        (:meth:`observe_responses`).  The base implementation cannot
+        know how long an adaptive plan holds, so it peeks one write by
+        replaying :meth:`next_writes` on a copy of the state; attacks
+        that know their feedback-free horizon override this and
+        :meth:`advance`.
+        """
+        if n < 0:
+            raise ValueError("batch size must be non-negative")
+        state = copy.deepcopy(self.snapshot())
+        try:
+            return self.next_writes(min(n, 1))
+        finally:
+            self.restore(state)
+
+    def advance(self, k: int) -> None:
+        """Emit the first ``k`` addresses of the last :meth:`peek_writes`
+        run: the writes actually served."""
+        self.next_writes(k)
+
     def snapshot(self) -> dict:
         """Full mutable state: base counter plus the subclass hook."""
         return {"attack": self._snapshot_state(), "writes_emitted": self.writes_emitted}
@@ -70,14 +96,26 @@ class AttackWorkload(abc.ABC):
         uses it to detect swap phases.
         """
 
+    def observe_responses(self, latencies: np.ndarray) -> None:
+        """Feed back a run of response times, oldest first.
+
+        Must equal one :meth:`observe_response` call per latency; the
+        base implementation is that loop.
+        """
+        observe = self.observe_response
+        for latency in np.asarray(latencies, dtype=np.float64).tolist():
+            observe(latency)
+
     @property
     def is_adaptive(self) -> bool:
         """Whether the attack reacts to response-time feedback.
 
         Detected from whether :meth:`observe_response` is overridden.
-        Adaptive attacks need the per-request feedback loop, so the
-        batched simulation protocol degrades them to batches of one
-        write; non-adaptive streams batch freely.
+        Non-adaptive streams batch freely.  An adaptive attack's batch
+        is speculative: :meth:`peek_writes` proposes the run its current
+        plan dictates, the scheme serves it up to and including the
+        first response the attacker could notice, and only the served
+        prefix is emitted (:meth:`advance`) and observed.
         """
         return type(self).observe_response is not AttackWorkload.observe_response
 

@@ -9,6 +9,8 @@ factor — it never sees scheme internals.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import ConfigError
 
 
@@ -61,3 +63,37 @@ class SwapDetector:
             self.detections += 1
             return True
         return False
+
+    def observe_quiet(self, latencies: np.ndarray) -> int:
+        """Record the leading samples that detect nothing; return how many.
+
+        Equals calling :meth:`observe` on each sample of
+        ``latencies[:k]`` (all returning False), where ``k`` is the
+        returned count: the first sample that would detect, or that
+        :meth:`observe` would reject, is left unrecorded for the scalar
+        path.  Closed form: the baseline is the running minimum of every
+        sample seen, and a sample can detect only once ``warmup``
+        samples precede it.
+        """
+        n = int(latencies.size)
+        if n == 0:
+            return 0
+        samples = self._samples
+        # Before warm-up ends a zero baseline means "unset".
+        baseline = (
+            np.inf if self._baseline == 0.0 and samples < self.warmup else self._baseline
+        )
+        running = np.minimum.accumulate(latencies)
+        before = np.empty(n, dtype=np.float64)
+        before[0] = baseline
+        np.minimum(running[:-1], baseline, out=before[1:])
+        armed = np.arange(samples, samples + n) >= self.warmup
+        stop = (latencies <= 0) | (
+            armed & (latencies > before * self.threshold_factor)
+        )
+        hits = np.flatnonzero(stop)
+        quiet = int(hits[0]) if hits.size else n
+        if quiet:
+            self._samples = max(samples, min(self.warmup, samples + quiet))
+            self._baseline = float(min(baseline, running[quiet - 1]))
+        return quiet

@@ -38,6 +38,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from ..errors import ConfigError
 from .base import AttackWorkload
 from .detector import SwapDetector
@@ -87,13 +89,14 @@ class InconsistentWriteAttack(AttackWorkload):
         self._writes_since_flip = 0
         self._flip_pending = False
         self._pass_schedule: List[int] = []
+        self._pass_array = np.zeros(0, dtype=np.int64)
         self._build_pass()
         self._cursor = 0
 
     # ------------------------------------------------------------------
     # Pass construction
     # ------------------------------------------------------------------
-    def _staircase_weights(self) -> List[int]:
+    def _staircase_weights(self) -> np.ndarray:
         """Per-target write counts, scaled to fill the estimated phase.
 
         Ranks 1..T are scaled so one pass (staircase plus optional scan)
@@ -106,10 +109,11 @@ class InconsistentWriteAttack(AttackWorkload):
             budget -= self.n_pages - count
         rank_sum = count * (count + 1) / 2
         scale = max(1.0, budget / rank_sum)
-        weights = [max(1, int(round(rank * scale))) for rank in range(1, count + 1)]
-        if self._reversed:
-            weights.reverse()
-        return weights
+        # np.rint rounds half to even, exactly like round() on a float.
+        weights = np.maximum(1, np.rint(np.arange(1, count + 1) * scale)).astype(
+            np.int64
+        )
+        return weights[::-1] if self._reversed else weights
 
     def _build_pass(self) -> None:
         """Materialize one pass of the attack write sequence.
@@ -120,17 +124,20 @@ class InconsistentWriteAttack(AttackWorkload):
         cold observations the defense holds.
         """
         weights = self._staircase_weights()
-        order = sorted(range(self.n_targets), key=lambda i: -weights[i])
-        victims = list(reversed(order[-self.victim_count:]))
+        order = np.argsort(-weights, kind="stable")
+        victims = order[-self.victim_count :][::-1]
         decoys = order[: self.n_targets - self.victim_count]
-        schedule: List[int] = []
-        for position in decoys:
-            schedule.extend([position] * weights[position])
+        parts = [np.repeat(decoys, weights[decoys])]
         if self.background_scan:
-            schedule.extend(range(self.n_targets, self.n_pages))
-        for position in victims:
-            schedule.extend([position] * weights[position])
-        self._pass_schedule = schedule
+            parts.append(np.arange(self.n_targets, self.n_pages, dtype=np.int64))
+        parts.append(np.repeat(victims, weights[victims]))
+        self._set_pass(np.concatenate(parts))
+
+    def _set_pass(self, schedule: np.ndarray) -> None:
+        """Install a pass: a list for the scalar path, an array for peeks."""
+        self._pass_schedule = schedule.tolist()
+        schedule.flags.writeable = False
+        self._pass_array = schedule  # twl: allow(TWL008) reason=derived cache of _pass_schedule; restore rebuilds it through _set_pass
 
     def victim_share(self) -> float:
         """Traffic share of the most-hammered page after a reversal.
@@ -140,7 +147,7 @@ class InconsistentWriteAttack(AttackWorkload):
         entries.
         """
         weights = self._staircase_weights()
-        return max(weights) / len(self._pass_schedule)
+        return int(weights.max()) / len(self._pass_schedule)
 
     @property
     def period_estimate(self) -> float:
@@ -169,7 +176,7 @@ class InconsistentWriteAttack(AttackWorkload):
         self._cursor = int(state["cursor"])
         self.detector.restore(state["detector"])
         self._flip_pending = bool(state["flip_pending"])
-        self._pass_schedule = [int(page) for page in state["pass_schedule"]]
+        self._set_pass(np.array(state["pass_schedule"], dtype=np.int64))
         self._period_estimate = float(state["period_estimate"])
         self.reversals = int(state["reversals"])
         self._reversed = bool(state["reversed"])
@@ -178,13 +185,17 @@ class InconsistentWriteAttack(AttackWorkload):
     # ------------------------------------------------------------------
     # Write stream
     # ------------------------------------------------------------------
+    def _flip(self) -> None:
+        """Apply a pending flip: reverse the staircase, start a new pass."""
+        self._flip_pending = False
+        self._reversed = not self._reversed
+        self.reversals += 1
+        self._build_pass()
+        self._cursor = 0
+
     def next_write(self) -> int:
         if self._flip_pending:
-            self._flip_pending = False
-            self._reversed = not self._reversed
-            self.reversals += 1
-            self._build_pass()
-            self._cursor = 0
+            self._flip()
         page = self._pass_schedule[self._cursor]
         self._cursor += 1
         if self._cursor == len(self._pass_schedule):
@@ -208,3 +219,60 @@ class InconsistentWriteAttack(AttackWorkload):
             )
         self._flip_pending = True
         self._writes_since_flip = 0
+
+    # ------------------------------------------------------------------
+    # Speculative protocol
+    # ------------------------------------------------------------------
+    def peek_writes(self, n: int) -> np.ndarray:
+        """The next writes of the current pass, as far as no response
+        can change the plan.
+
+        The plan changes only at a flip: after a detected swap, or when
+        ``patience`` writes pass without one.  The run is capped at the
+        timeout; the caller truncates it at the first response the
+        detector could flag.  A pending flip is applied first, exactly
+        as :meth:`next_write` would before its next write.
+        """
+        if n < 0:
+            raise ValueError("batch size must be non-negative")
+        if self._flip_pending:
+            self._flip()
+        n = min(n, max(1, self.patience - self._writes_since_flip))
+        schedule = self._pass_array
+        cursor = self._cursor
+        end = cursor + n
+        if end <= schedule.size:
+            return schedule[cursor:end]
+        return schedule[np.arange(cursor, end) % schedule.size]
+
+    def advance(self, k: int) -> None:
+        if k < 0:
+            raise ValueError("advance count must be non-negative")
+        if k == 0:
+            return
+        if self._flip_pending:
+            self._flip()
+        self._cursor = (self._cursor + k) % len(self._pass_schedule)
+        self.writes_emitted += k
+
+    def observe_responses(self, latencies: np.ndarray) -> None:
+        """The per-call loop, with the flip-free stretches in closed form.
+
+        Responses short of the patience timeout that the detector does
+        not flag only count towards ``writes_since_flip`` and the
+        detector's warm-up and baseline; :meth:`SwapDetector.observe_quiet`
+        records them in one step.  Any other response takes the scalar
+        :meth:`observe_response`.
+        """
+        latencies = np.asarray(latencies, dtype=np.float64)
+        start = 0
+        total = int(latencies.size)
+        while start < total:
+            room = self.patience - self._writes_since_flip - 1
+            if room > 0:
+                quiet = self.detector.observe_quiet(latencies[start : start + room])
+                self._writes_since_flip += quiet
+                start += quiet
+            if start < total:
+                self.observe_response(float(latencies[start]))
+                start += 1

@@ -34,7 +34,7 @@ from ..tables.endurance_table import EnduranceTable
 from ..tables.pair_table import PairTable
 from ..tables.remap import RemappingTable
 from ..tables.write_counter import WriteCounterTable
-from ..wearlevel.base import WearLeveler
+from ..wearlevel.base import SWAP_VISIBLE_THRESHOLD, WearLeveler
 from .pairing import build_pair_table
 from .swap_judge import SwapJudge
 from .tossup import TossUp
@@ -125,7 +125,7 @@ class TossUpWearLeveling(WearLeveler):
         self._count_demand()
         return writes
 
-    def write_batch(self, addresses) -> np.ndarray:
+    def write_batch(self, addresses, stop_at_visible: bool = False) -> np.ndarray:
         """Batch path: plan every toss-up event, vectorize the rest.
 
         Most demand writes neither fire a toss-up (one in
@@ -147,6 +147,12 @@ class TossUpWearLeveling(WearLeveler):
         by construction; an injected fault can break it, so any window
         that starts with a corrupted counter is served scalar until the
         counter wraps back into range.
+
+        With ``stop_at_visible`` the batch ends after the first toss-up
+        that swaps or after an inter-pair boundary write, whichever
+        comes first.  The whole-window fast path is off in that mode: it
+        applies a window's writes, and draws its toss-up words, past
+        events the batch may have to stop at.
         """
         seq = np.asarray(addresses, dtype=np.int64)
         if self.array.failed:
@@ -185,24 +191,37 @@ class TossUpWearLeveling(WearLeveler):
                     headroom = int((array.endurance - array.writes).min())
                 if counters_sane:
                     served = self._serve_window(
-                        window, out, position, headroom > window_cost
+                        window,
+                        out,
+                        position,
+                        headroom > window_cost and not stop_at_visible,
+                        stop_at_visible,
                     )
                 else:
-                    served = self._serve_scalar(window, out, position)
+                    served = self._serve_scalar(window, out, position, stop_at_visible)
                 headroom -= window_cost
                 position += served
-                if array.failed:
+                if array.failed or (
+                    stop_at_visible and out[position - 1] >= SWAP_VISIBLE_THRESHOLD
+                ):
                     return out[:position]
             # The window-boundary write fires the inter-pair swap.
             if position < seq.size:
                 out[position] = self.write(int(seq[position]))
                 position += 1
-                if array.failed:
+                if array.failed or (
+                    stop_at_visible and out[position - 1] >= SWAP_VISIBLE_THRESHOLD
+                ):
                     return out[:position]
         return out
 
     def _serve_window(
-        self, window: np.ndarray, out: np.ndarray, base: int, no_failure: bool = False
+        self,
+        window: np.ndarray,
+        out: np.ndarray,
+        base: int,
+        no_failure: bool = False,
+        stop_at_visible: bool = False,
     ) -> int:
         """Serve one inter-pair-quiet window; return writes served.
 
@@ -213,7 +232,8 @@ class TossUpWearLeveling(WearLeveler):
         (``no_failure``), the toss-up decisions themselves vectorize and
         the whole window collapses to one bulk apply
         (:meth:`_serve_window_fast`); otherwise it alternates vectorized
-        straight-through runs with exact scalar event writes.
+        straight-through runs with exact scalar event writes, stopping
+        after a swapping event when ``stop_at_visible`` is set.
         """
         counters = self.write_counters.values_array()
         partners = self.pair_table.partners_array()
@@ -257,9 +277,10 @@ class TossUpWearLeveling(WearLeveler):
                 pos += served
                 if served < run:  # failure inside the run
                     return pos
-            out[base + pos] = write(int(window[event]))
+            cost = write(int(window[event]))
+            out[base + pos] = cost
             pos += 1
-            if array.failed:
+            if array.failed or (stop_at_visible and cost >= SWAP_VISIBLE_THRESHOLD):
                 return pos
         run = window.size - pos
         if run > 0:
@@ -357,17 +378,13 @@ class TossUpWearLeveling(WearLeveler):
         self.demand_writes += served
         return served
 
-    def _serve_scalar(self, window: np.ndarray, out: np.ndarray, base: int) -> int:
+    def _serve_scalar(
+        self, window: np.ndarray, out: np.ndarray, base: int, stop_at_visible: bool
+    ) -> int:
         """Exact per-write fallback (corrupted-counter windows)."""
-        write = self.write
-        array = self.array
-        pos = 0
-        for logical in window.tolist():  # twl: allow(TWL006) reason=corrupt-counter fallback
-            out[base + pos] = write(logical)
-            pos += 1
-            if array.failed:
-                break
-        return pos
+        served = WearLeveler.write_batch(self, window, stop_at_visible)
+        out[base : base + served.size] = served
+        return int(served.size)
 
     def _pair_endurance(self, frame: int) -> int:
         """Endurance feeding the toss-up probability for ``frame``."""

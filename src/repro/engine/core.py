@@ -23,6 +23,17 @@ Two data paths, selected by ``batch_size``:
   counts, same swap counters — a contract every scheme's ``write_batch``
   must uphold and ``tests/test_engine_identity.py`` enforces.
 
+An adaptive driver (an attack steering on response times) gets
+*speculative* steps: the engine asks for a full batch
+(``next_batch(n, speculative=True)``), the scheme serves it up to and
+including the first response with at least
+:data:`~repro.wearlevel.base.SWAP_VISIBLE_THRESHOLD` physical writes
+(``write_batch(..., stop_at_visible=True)``), and the driver emits only
+that served prefix.  A response the attacker cannot notice cannot change
+its next addresses, so every step is exactly the serial decision
+sequence; a step ends early at each visible response, not after every
+write.
+
 Observers (:mod:`repro.engine.observers`) receive a
 :class:`~repro.engine.observers.BatchSnapshot` after every engine step:
 cumulative demand/device writes, the scheme's swap counters, simulated
@@ -218,6 +229,7 @@ class SimulationEngine:
         array = scheme.array
         injector = self._soft_errors
         batched = self.batch_size > 1
+        speculative = batched and driver.is_adaptive
         write_cycles = float(self.timing.write_cycles)
         served_total = 0
         plan = self._snapshots
@@ -243,10 +255,17 @@ class SimulationEngine:
                 quota = min(quota, kill_at - self.demand_served)
             device_before = array.total_writes
             if batched:
-                addresses = driver.next_batch(min(self.batch_size, quota))
+                want = min(self.batch_size, quota)
+                if speculative:
+                    addresses = driver.next_batch(want, speculative=True)
+                else:
+                    addresses = driver.next_batch(want)
                 if len(addresses) == 0:
                     break
-                counts = scheme.write_batch(addresses)
+                if speculative:
+                    counts = scheme.write_batch(addresses, stop_at_visible=True)
+                else:
+                    counts = scheme.write_batch(addresses)
                 driver.observe_batch(counts)
                 served = int(len(counts))
             else:

@@ -13,6 +13,16 @@ simulation engine in two granularities:
   protocol (:mod:`repro.engine`); :meth:`WorkloadDriver.observe_batch`
   feeds the per-request response costs back afterwards.
 
+An adaptive attack steers on the response time of every request, yet
+its next addresses change only when a response flips its plan.  Its
+batches are therefore *speculative*: :class:`AttackDriver` proposes the
+run the current plan dictates, the scheme serves it up to and including
+the first response the attacker could notice
+(``write_batch(..., stop_at_visible=True)``), and ``observe_batch``
+emits only the served prefix before replaying its responses.  The
+unserved tail was never emitted, so the decision sequence is exactly
+the serial one.
+
 :class:`StreamDriver` is the streaming-first workload path: it pulls
 ``(ops, pages)`` chunks from a :class:`~repro.traces.stream.TraceStream`
 and buffers only the current chunk's writes, so multi-billion-request
@@ -53,12 +63,26 @@ class WorkloadDriver(abc.ABC):
         writes actually served.
         """
 
-    def next_batch(self, n: int) -> np.ndarray:
+    @property
+    def is_adaptive(self) -> bool:
+        """Whether the stream steers on per-request feedback.
+
+        An adaptive driver's batches are speculative (see the module
+        docstring): the caller must serve them with
+        ``write_batch(..., stop_at_visible=True)`` and report the served
+        prefix through :meth:`observe_batch`.
+        """
+        return False
+
+    def next_batch(self, n: int, speculative: bool = False) -> np.ndarray:
         """The next (up to) ``n`` logical addresses, without serving them.
 
-        Drivers may return fewer than ``n`` addresses (an adaptive
-        attack that needs per-request feedback returns one at a time);
-        an empty array means the stream is exhausted.  When a batch is
+        Drivers may return fewer than ``n`` addresses; an empty array
+        means the stream is exhausted.  An adaptive driver returns more
+        than one address only when the caller passes ``speculative``,
+        promising to stop serving after the first visible response and
+        to report what it served through :meth:`observe_batch`; a bare
+        call returns one address.  When a batch is
         cut short by a failure, the unserved tail is *not* rewound —
         the engine stops at first failure, so only post-failure driver
         state (trace position, loop counter) can drift from a serial
@@ -71,7 +95,11 @@ class WorkloadDriver(abc.ABC):
         )
 
     def observe_batch(self, physical_write_counts: np.ndarray) -> None:
-        """Feed back the per-request physical write counts of a batch."""
+        """Feed back the per-request physical write counts of a batch.
+
+        For an adaptive driver the counts also say how many of the
+        proposed addresses were served; the rest are dropped.
+        """
 
     def snapshot(self) -> dict:
         """The driver's mutable position state as a plain state tree.
@@ -136,7 +164,7 @@ class TraceDriver(WorkloadDriver):
         self._position = position
         return served
 
-    def next_batch(self, n: int) -> np.ndarray:
+    def next_batch(self, n: int, speculative: bool = False) -> np.ndarray:
         if n < 0:
             raise ValueError("batch size must be non-negative")
         writes = self._writes_array
@@ -258,7 +286,7 @@ class StreamDriver(WorkloadDriver):
             served += consumed
         return served
 
-    def next_batch(self, n: int) -> np.ndarray:
+    def next_batch(self, n: int, speculative: bool = False) -> np.ndarray:
         if n < 0:
             raise ValueError("batch size must be non-negative")
         if self._offset >= self._buffer.size:
@@ -328,27 +356,31 @@ class AttackDriver(WorkloadDriver):
             served += 1
         return served
 
-    def next_batch(self, n: int) -> np.ndarray:
+    @property
+    def is_adaptive(self) -> bool:
+        return self.attack.is_adaptive
+
+    def next_batch(self, n: int, speculative: bool = False) -> np.ndarray:
         if n < 0:
             raise ValueError("batch size must be non-negative")
         attack = self.attack
-        if attack.is_adaptive and n > 1:
-            # Adaptive attacks steer on per-request response times, so
-            # later addresses of a batch would be computed on stale
-            # feedback.  Degrade to one-write batches: slower, but
-            # exactly the serial decision sequence.
-            n = 1
-        return attack.next_writes(n)
+        if not attack.is_adaptive:
+            return attack.next_writes(n)
+        # An adaptive attack's run is valid only until a response flips
+        # its plan, so it is proposed, not emitted: observe_batch emits
+        # the served prefix.  Only a caller that truncates at the first
+        # visible response gets more than one write.
+        return attack.peek_writes(n if speculative else min(n, 1))
 
     def observe_batch(self, physical_write_counts: np.ndarray) -> None:
         attack = self.attack
         if not attack.is_adaptive:
             # observe_response is the no-op base implementation.
             return
-        observe = attack.observe_response
-        write_cycles = float(self.timing.write_cycles)
-        for physical_writes in physical_write_counts.tolist():
-            observe(write_cycles * physical_writes)
+        attack.advance(len(physical_write_counts))
+        attack.observe_responses(
+            float(self.timing.write_cycles) * physical_write_counts
+        )
 
     def snapshot(self) -> dict:
         return {"attack": self.attack.snapshot()}

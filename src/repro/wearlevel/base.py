@@ -13,7 +13,9 @@ fast:
   implementation is the per-write loop, so batching is bit-identical by
   construction; schemes with a cheap data path override it with a
   vectorized fast path that must preserve that identity (enforced by
-  ``tests/test_engine_identity.py``).
+  ``tests/test_engine_identity.py``).  With ``stop_at_visible`` it also
+  stops after the first request an attacker could notice — the mode
+  the engine uses for speculative batches of adaptive attacks.
 * :meth:`WearLeveler.translate` is the side-effect-free LA -> PA lookup
   used by reads.
 
@@ -104,7 +106,9 @@ class WearLeveler(abc.ABC):
     def write(self, logical: int) -> int:
         """Serve one logical write; return physical writes performed."""
 
-    def write_batch(self, addresses: Sequence[int]) -> np.ndarray:
+    def write_batch(
+        self, addresses: Sequence[int], stop_at_visible: bool = False
+    ) -> np.ndarray:
         """Serve an ordered batch of logical writes.
 
         Returns the number of physical page writes each request
@@ -115,9 +119,18 @@ class WearLeveler(abc.ABC):
         is bit-identical to a serial one (scheme counters, array state
         and failure attribution included).
 
+        With ``stop_at_visible`` the batch also stops after the first
+        request with at least :data:`SWAP_VISIBLE_THRESHOLD` physical
+        writes, under the same truncation contract.  Nothing past the
+        returned prefix may touch scheme state — RNG registers included
+        — because the caller goes on serving the stream from there: an
+        adaptive attacker reacts to that response before it writes
+        again.
+
         This default implementation is the per-write loop; schemes with
         a vectorizable data path override it and must preserve the
-        identity contract.
+        identity contract.  An override without a vectorized
+        stop-at-visible path delegates that mode back here.
         """
         seq = np.asarray(addresses, dtype=np.int64)
         out = np.zeros(seq.size, dtype=np.int64)
@@ -127,9 +140,10 @@ class WearLeveler(abc.ABC):
         write = self.write
         served = 0
         for logical in seq.tolist():  # twl: allow(TWL006) reason=default per-write fallback
-            out[served] = write(logical)
+            cost = write(logical)
+            out[served] = cost
             served += 1
-            if array.failed:
+            if array.failed or (stop_at_visible and cost >= SWAP_VISIBLE_THRESHOLD):
                 break
         return out[:served]
 

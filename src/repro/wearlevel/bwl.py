@@ -39,7 +39,7 @@ from ..pcm.array import PCMArray
 from ..rng.streams import derive_seed
 from ..tables.endurance_table import EnduranceTable
 from ..tables.remap import RemappingTable
-from .base import WearLeveler
+from .base import SWAP_VISIBLE_THRESHOLD, WearLeveler
 
 
 class BloomWearLeveling(WearLeveler):
@@ -148,7 +148,9 @@ class BloomWearLeveling(WearLeveler):
             writes += self._swap_phase()
         return writes
 
-    def write_batch(self, addresses: Sequence[int]) -> np.ndarray:
+    def write_batch(
+        self, addresses: Sequence[int], stop_at_visible: bool = False
+    ) -> np.ndarray:
         """Batch path: scalar heuristic scan, vectorized device writes.
 
         BWL's swap decision depends on per-write Bloom-filter state, so
@@ -169,6 +171,10 @@ class BloomWearLeveling(WearLeveler):
         where the serial loop would.  Heuristic state scanned ahead of a
         mid-segment failure is post-failure drift only — the run is
         over, and nothing observable (stats, wear, result) reads it.
+
+        With ``stop_at_visible`` the batch ends after the first swap
+        phase that migrated anything.  The scan never runs past a
+        trigger, so nothing beyond the served prefix is touched.
         """
         seq = np.asarray(addresses, dtype=np.int64)
         array = self.array
@@ -223,7 +229,9 @@ class BloomWearLeveling(WearLeveler):
                 return out[: start + applied]
             if trigger >= 0:
                 out[trigger] += self._swap_phase()
-                if array.failed:
+                if array.failed or (
+                    stop_at_visible and out[trigger] >= SWAP_VISIBLE_THRESHOLD
+                ):
                     return out[:stop]
             start = stop
         return out

@@ -29,9 +29,10 @@ class NoWearLeveling(WearLeveler):
         self.demand_writes += 1
         return 1
 
-    def write_batch(self, addresses) -> np.ndarray:
+    def write_batch(self, addresses, stop_at_visible: bool = False) -> np.ndarray:
         # Identity mapping: the logical sequence *is* the physical
         # sequence, so the whole batch lands in one apply_batch call.
+        # No response is ever visible, so stop_at_visible never cuts.
         seq = np.asarray(addresses, dtype=np.int64)
         if self.array.failed:
             return np.zeros(0, dtype=np.int64)

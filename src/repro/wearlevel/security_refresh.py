@@ -46,7 +46,7 @@ from ..rng.lfsr import GaloisLFSR
 from ..rng.streams import derive_seed
 from ..rng.xorshift import XorShift32
 from ..tables.remap import RemappingTable
-from .base import WearLeveler
+from .base import SWAP_VISIBLE_THRESHOLD, WearLeveler
 
 
 class SecurityRefresh(WearLeveler):
@@ -84,7 +84,9 @@ class SecurityRefresh(WearLeveler):
             writes += self._refresh_step(logical)
         return writes
 
-    def write_batch(self, addresses: Sequence[int]) -> np.ndarray:
+    def write_batch(
+        self, addresses: Sequence[int], stop_at_visible: bool = False
+    ) -> np.ndarray:
         """Vectorized batch path: segment the batch at refresh triggers.
 
         The trigger stream and the victim stream come from *separate*
@@ -101,36 +103,50 @@ class SecurityRefresh(WearLeveler):
         that wears out a page still runs its refresh step — serial
         :meth:`write` completes fully before the drive loop observes the
         failure — and the batch stops exactly where the serial loop
-        would.  Trigger words pre-drawn for requests after a mid-batch
-        failure are post-failure RNG state only, which nothing
-        observable depends on once the run is over.
+        would.  When the batch stops early, the trigger register is
+        rewound to the last served request's word, so no draw is ever
+        ahead of the serial run.
+
+        With ``stop_at_visible`` the batch ends after the first refresh
+        step that migrated data.  Such a batch usually stops within a
+        few refresh intervals, so trigger words are drawn in chunks of
+        two intervals rather than for the whole batch up front.
         """
         seq = np.asarray(addresses, dtype=np.int64)
         array = self.array
         if array.failed:
             return np.zeros(0, dtype=np.int64)
         self.check_logical_batch(seq)
-        if seq.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        out = np.ones(seq.size, dtype=np.int64)
-        words = self._trigger_rng.next_words(seq.size)
-        triggers = np.flatnonzero(words % self.config.refresh_interval == 0).tolist()
+        total = int(seq.size)
+        out = np.ones(total, dtype=np.int64)
+        interval = self.config.refresh_interval
+        rng = self._trigger_rng
+        chunk = 2 * interval if stop_at_visible else total
         forward = self.remap.mapping_array()  # live view: current across swaps
         start = 0
-        for pos in triggers:
-            applied = array.apply_batch(forward[seq[start : pos + 1]])
-            self.demand_writes += applied
-            if applied < pos + 1 - start:
-                return out[: start + applied]
-            out[pos] += self._refresh_step(int(seq[pos]))
-            if array.failed:
-                return out[: pos + 1]
-            start = pos + 1
-        if start < seq.size:
-            applied = array.apply_batch(forward[seq[start:]])
-            self.demand_writes += applied
-            if applied < seq.size - start:
-                return out[: start + applied]
+        while start < total:
+            base = start
+            stop = min(total, base + chunk)
+            words = rng.next_words(stop - base)
+            triggers = (np.flatnonzero(words % interval == 0) + base).tolist()
+            triggers.append(stop)  # sentinel: the trigger-free tail
+            for pos in triggers:
+                end = min(pos + 1, stop)
+                applied = array.apply_batch(forward[seq[start:end]])
+                self.demand_writes += applied
+                if applied < end - start:
+                    # Failure inside the run: rewind to the failing write.
+                    rng.state = int(words[start + applied - 1 - base])
+                    return out[: start + applied]
+                start = end
+                if pos == stop:
+                    break
+                out[pos] += self._refresh_step(int(seq[pos]))
+                if array.failed or (
+                    stop_at_visible and out[pos] >= SWAP_VISIBLE_THRESHOLD
+                ):
+                    rng.state = int(words[pos - base])
+                    return out[: pos + 1]
         return out
 
     def _snapshot_state(self):

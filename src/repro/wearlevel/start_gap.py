@@ -88,7 +88,7 @@ class StartGap(WearLeveler):
             writes += self._move_gap()
         return writes
 
-    def write_batch(self, addresses) -> np.ndarray:  # twl: allow(TWL009) reason=batch path materializes the lazy seed-derived randomize table the scalar path builds on first miss; contents are identical either way
+    def write_batch(self, addresses, stop_at_visible: bool = False) -> np.ndarray:  # twl: allow(TWL009) reason=batch path materializes the lazy seed-derived randomize table the scalar path builds on first miss; contents are identical either way
         """Closed-form batch path: the whole rotation is arithmetic.
 
         The gap cycles through ``n_logical + 1`` positions, one step per
@@ -106,6 +106,9 @@ class StartGap(WearLeveler):
         failing boundary write still performs).  The guard triggers at
         most once per run — the batch that contains the failure.
         """
+        if stop_at_visible:
+            # Every gap move is visible; the closed form has no cut.
+            return super().write_batch(addresses, stop_at_visible=True)
         seq = np.asarray(addresses, dtype=np.int64)
         if self.array.failed:
             return np.zeros(0, dtype=np.int64)

@@ -34,7 +34,7 @@ from ..pcm.array import PCMArray
 from ..tables.endurance_table import EnduranceTable
 from ..tables.remap import RemappingTable
 from ..tables.wnt import WriteNumberTable
-from .base import WearLeveler
+from .base import SWAP_VISIBLE_THRESHOLD, WearLeveler
 
 PHASE_PREDICTION = "prediction"
 PHASE_RUNNING = "running"
@@ -91,7 +91,9 @@ class WearRateLeveling(WearLeveler):
             self._phase_writes = 0
         return writes
 
-    def write_batch(self, addresses: Sequence[int]) -> np.ndarray:
+    def write_batch(
+        self, addresses: Sequence[int], stop_at_visible: bool = False
+    ) -> np.ndarray:
         """Vectorized batch path: segment the batch at phase boundaries.
 
         Between phase boundaries the data path is a pure gather through
@@ -106,7 +108,9 @@ class WearRateLeveling(WearLeveler):
         wears out a page still completes its phase transition (serial
         :meth:`write` runs to the end before the drive loop sees the
         failure), and a mid-segment failure truncates the batch exactly
-        where the serial loop would have stopped.
+        where the serial loop would have stopped.  With
+        ``stop_at_visible`` the batch also ends after a boundary write
+        whose swap phase migrated anything.
         """
         seq = np.asarray(addresses, dtype=np.int64)
         array = self.array
@@ -144,7 +148,9 @@ class WearRateLeveling(WearLeveler):
                 self.wnt.clear()
                 self.phase = PHASE_PREDICTION
                 self._phase_writes = 0
-            if array.failed:
+            if array.failed or (
+                stop_at_visible and out[stop - 1] >= SWAP_VISIBLE_THRESHOLD
+            ):
                 return out[:stop]
             start = stop
         return out
