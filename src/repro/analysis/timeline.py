@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from ..engine import SimulationEngine
 from ..errors import SimulationError
 from ..pcm.stats import WearStatistics
 from ..sim.drivers import WorkloadDriver
@@ -32,6 +33,7 @@ class WearTimeline:
     def __init__(self, scheme: WearLeveler, driver: WorkloadDriver):
         self.scheme = scheme
         self.driver = driver
+        self._engine = SimulationEngine(scheme, driver)
         self.points: List[TimelinePoint] = []
         self._demand_total = 0
 
@@ -47,7 +49,7 @@ class WearTimeline:
         slice_demand = max(1, total_demand // snapshots)
         remaining = total_demand
         while remaining > 0 and not self.scheme.array.failed:
-            served = self.driver.drive(self.scheme, min(slice_demand, remaining))
+            served = self._engine.drive(min(slice_demand, remaining))
             if served == 0:
                 break
             remaining -= served

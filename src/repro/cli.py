@@ -10,11 +10,13 @@
 ``--quick`` runs at the reduced CI scale (same mechanisms, smaller
 array, subsampled benchmark list).  ``--jobs N`` fans independent
 experiment cells across N worker processes; results are bit-identical
-to the serial run.  ``--batch-size N`` serves demand writes through the
-engine's batched write protocol (also bit-identical; see
-``docs/performance.md``).  Completed cells are cached on disk (default
-``~/.cache/twl-repro/``), so re-running a figure is near-instant —
-``--no-cache`` disables that, ``--cache-dir`` relocates it.
+to the serial run.  ``--batch-size N`` sets the demand writes per
+engine step (default 4096; ``1`` is the per-write reference, every
+write through the scheme's scalar ``write()``); results are
+bit-identical at any value (``docs/performance.md``).  Completed cells
+are cached on disk (default ``~/.cache/twl-repro/``), so re-running a
+figure is near-instant — ``--no-cache`` disables that, ``--cache-dir``
+relocates it.
 
 Long campaigns can be hardened (``docs/robustness.md``): ``--retries``
 re-runs failed cells, ``--cell-timeout`` bounds each cell's wall
@@ -53,6 +55,7 @@ from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
 from .devtools import sanitize
+from .engine import DEFAULT_BATCH_SIZE
 from .errors import ReproError
 from .exec.cache import default_cache_dir
 from .exec.policy import ON_ERROR_FAIL_FAST, ON_ERROR_KEEP_GOING, FailurePolicy
@@ -244,11 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--batch-size",
         type=_positive_int,
-        default=1,
+        default=DEFAULT_BATCH_SIZE,
         metavar="N",
         help=(
-            "demand writes per engine step (default: 1, the legacy "
-            "per-write path); results are bit-identical at any value"
+            f"demand writes per engine step (default: {DEFAULT_BATCH_SIZE}; "
+            "1 is the per-write reference); results are bit-identical "
+            "at any value"
         ),
     )
     parser.add_argument(

@@ -1,8 +1,9 @@
 """The composable simulation engine and its observer interface.
 
 * :mod:`repro.engine.core` — :class:`SimulationEngine`, the one step
-  loop every simulation path (exact lifetime, fast-forward, overhead
-  measurement) is configured from, plus the batched write protocol;
+  loop every simulation path (exact lifetime, overhead measurement) is
+  configured from, and its ``next_batch`` → ``write_batch`` →
+  ``observe_batch`` step protocol;
 * :mod:`repro.engine.observers` — per-batch observer hooks and the
   built-in observers (overhead collection, wear timelines);
 * :mod:`repro.engine.invariants` — :class:`InvariantCheckObserver`,
@@ -16,7 +17,7 @@
   arming point, honored by the engine step loop.
 """
 
-from .core import DEFAULT_CHUNK_DEMAND, EngineOutcome, SimulationEngine
+from .core import DEFAULT_BATCH_SIZE, EngineOutcome, SimulationEngine
 from .invariants import InvariantCheckObserver
 from .observers import (
     BatchSnapshot,
@@ -35,7 +36,7 @@ from .snapshot import (
 )
 
 __all__ = [
-    "DEFAULT_CHUNK_DEMAND",
+    "DEFAULT_BATCH_SIZE",
     "EngineOutcome",
     "SimulationEngine",
     "InvariantCheckObserver",

@@ -3,25 +3,23 @@
 :class:`SimulationEngine` owns the step loop every simulation path in
 the package runs through: pull demand writes from a workload driver,
 push them through a wear-leveling scheme, watch the PCM array for its
-first failure, and notify observers after every batch.  The lifetime,
-fast-forward and overhead modules in :mod:`repro.sim` are thin
-configurations of this one loop — none of them implements stepping or
-failure detection of its own.
+first failure, and notify observers after every batch.  The lifetime
+and overhead modules in :mod:`repro.sim` are thin configurations of
+this one loop — none of them implements stepping or failure detection
+of its own.
 
-Two data paths, selected by ``batch_size``:
-
-* ``batch_size == 1`` (legacy, the default) delegates each chunk to the
-  driver's per-write hot loop (:meth:`WorkloadDriver.drive`), whose
-  locals-bound Python loop is the fastest way to serve writes one at a
-  time;
-* ``batch_size > 1`` runs the batched write protocol: the driver yields
-  logical-address arrays (:meth:`WorkloadDriver.next_batch`), the scheme
-  serves them in one call (:meth:`WearLeveler.write_batch`), and the
-  per-request physical write counts are fed back to the driver
-  (:meth:`WorkloadDriver.observe_batch`).  Batched runs are
-  **bit-identical** to per-write runs — same failure page, same write
-  counts, same swap counters — a contract every scheme's ``write_batch``
-  must uphold and ``tests/test_engine_identity.py`` enforces.
+One step protocol, whatever the ``batch_size``: the driver yields
+logical-address arrays (:meth:`WorkloadDriver.next_batch`), the scheme
+serves them in one call (:meth:`WearLeveler.write_batch`), and the
+per-request physical write counts are fed back to the driver
+(:meth:`WorkloadDriver.observe_batch`).  Runs are **bit-identical** at
+every batch size — same failure page, same write counts, same swap
+counters — a contract every scheme's ``write_batch`` must uphold and
+``tests/test_engine_identity.py`` enforces.  Its reference is
+``batch_size == 1``: a one-address step is served by the scalar oracle,
+the base-class loop ``WearLeveler.write_batch`` over ``write()``, never
+by a scheme's vectorized override.  Every entry point defaults to
+:data:`DEFAULT_BATCH_SIZE`.
 
 An adaptive driver (an attack steering on response times) gets
 *speculative* steps: the engine asks for a full batch
@@ -45,12 +43,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Optional, Tuple
 
 from ..config import TimingConfig
 from ..devtools import sanitize
 from ..errors import DeterminismViolation, SimulationError, SnapshotError
 from ..pcm.faults import FirstFailure
+from ..wearlevel.base import WearLeveler
 from . import interrupt
 from .observers import BatchSnapshot, EngineObserver
 from .snapshot import SnapshotPlan, write_snapshot
@@ -58,12 +58,10 @@ from .snapshot import SnapshotPlan, write_snapshot
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..pcm.softerrors import SoftErrorInjector
     from ..sim.drivers import WorkloadDriver
-    from ..wearlevel.base import WearLeveler
 
-#: Per-write-path chunking quota: drivers serve at most this many demand
-#: writes per engine step, so observers fire at a bounded granularity
-#: even in legacy mode.
-DEFAULT_CHUNK_DEMAND = 1 << 20
+#: Demand writes per engine step unless a caller asks otherwise.  Results
+#: are bit-identical at every batch size, so this only sets speed.
+DEFAULT_BATCH_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -94,8 +92,8 @@ class SimulationEngine:
     driver:
         The workload driver producing demand writes.
     batch_size:
-        Demand writes per engine step.  1 selects the legacy per-write
-        path; larger values select the batched write protocol.
+        Demand writes per engine step.  1 is the per-write reference:
+        every write goes through the scheme's scalar ``write()``.
     observers:
         :class:`EngineObserver` instances notified per batch and at run
         boundaries.  A non-``critical`` observer that raises is detached
@@ -125,22 +123,18 @@ class SimulationEngine:
         self,
         scheme: "WearLeveler",
         driver: "WorkloadDriver",
-        batch_size: int = 1,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         observers: Iterable[EngineObserver] = (),
         timing: TimingConfig = TimingConfig(),
-        chunk_demand: int = DEFAULT_CHUNK_DEMAND,
         soft_errors: Optional["SoftErrorInjector"] = None,
         snapshots: Optional[SnapshotPlan] = None,
     ) -> None:
         if batch_size < 1:
             raise SimulationError(f"batch size must be positive, got {batch_size}")
-        if chunk_demand < 1:
-            raise SimulationError(f"chunk size must be positive, got {chunk_demand}")
         self.scheme = scheme
         self.driver = driver
         self.batch_size = batch_size
         self.timing = timing
-        self._chunk_demand = chunk_demand
         self._observers: Tuple[EngineObserver, ...] = tuple(observers)
         self._soft_errors = (
             soft_errors
@@ -228,8 +222,14 @@ class SimulationEngine:
         driver = self.driver
         array = scheme.array
         injector = self._soft_errors
-        batched = self.batch_size > 1
-        speculative = batched and driver.is_adaptive
+        batch_size = self.batch_size
+        speculative = driver.is_adaptive
+        # One-write steps go through the scalar oracle, never through a
+        # scheme's vectorized override: batch_size 1 is the per-write
+        # reference the identity tests compare every batch size against.
+        write_batch = (
+            scheme.write_batch if batch_size > 1 else partial(WearLeveler.write_batch, scheme)
+        )
         write_cycles = float(self.timing.write_cycles)
         served_total = 0
         plan = self._snapshots
@@ -254,22 +254,19 @@ class SimulationEngine:
                 # demand index, never mid-batch.
                 quota = min(quota, kill_at - self.demand_served)
             device_before = array.total_writes
-            if batched:
-                want = min(self.batch_size, quota)
-                if speculative:
-                    addresses = driver.next_batch(want, speculative=True)
-                else:
-                    addresses = driver.next_batch(want)
-                if len(addresses) == 0:
-                    break
-                if speculative:
-                    counts = scheme.write_batch(addresses, stop_at_visible=True)
-                else:
-                    counts = scheme.write_batch(addresses)
-                driver.observe_batch(counts)
-                served = int(len(counts))
+            want = min(batch_size, quota)
+            if speculative:
+                addresses = driver.next_batch(want, speculative=True)
             else:
-                served = driver.drive(scheme, min(self._chunk_demand, quota))
+                addresses = driver.next_batch(want)
+            if len(addresses) == 0:
+                break
+            if speculative:
+                counts = write_batch(addresses, stop_at_visible=True)
+            else:
+                counts = write_batch(addresses)
+            driver.observe_batch(counts)
+            served = int(len(counts))
             if served == 0:
                 break
             served_total += served
@@ -374,17 +371,6 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # Run orchestration
     # ------------------------------------------------------------------
-    def begin_run(self) -> None:
-        """Notify observers that a run is starting (multi-phase runs
-        like fast-forward call this once up front)."""
-        self._notify("on_run_start", self)
-
-    def end_run(self) -> EngineOutcome:
-        """Build the outcome and notify observers the run is over."""
-        outcome = self.outcome()
-        self._notify("on_run_end", self, outcome)
-        return outcome
-
     def outcome(self) -> EngineOutcome:
         """Snapshot of the run state, without ending the run."""
         array = self.scheme.array
@@ -403,18 +389,20 @@ class SimulationEngine:
         Raises :class:`SimulationError` if the array has already failed,
         or — with ``require_failure`` — if the quota is exhausted without
         a failure (a sign the scale was chosen too large for exact
-        simulation; use fast-forward instead).
+        simulation).
         """
         if self.scheme.array.failed and self.demand_served == 0:
             raise SimulationError("array already failed before simulation start")
-        self.begin_run()
+        self._notify("on_run_start", self)
         self.drive(max_demand)
         if require_failure and not self.scheme.array.failed:
             raise SimulationError(
                 f"no failure within {max_demand} demand writes; "
-                "reduce the array scale or use fast_forward_to_failure"
+                "reduce the array scale"
             )
-        return self.end_run()
+        outcome = self.outcome()
+        self._notify("on_run_end", self, outcome)
+        return outcome
 
     def simulated_seconds(self) -> float:
         """Simulated time at the configured clock, in seconds."""

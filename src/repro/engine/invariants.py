@@ -73,7 +73,7 @@ class InvariantCheckObserver(EngineObserver):
 
         The write-count baseline is a *delta* base (array writes minus
         scheme-issued writes at run start) so the checker also works on
-        runs that begin on pre-worn arrays (fast-forward phases).
+        runs that begin on pre-worn arrays (resumed runs).
         """
         self._scheme = scheme
         endurance_table = getattr(scheme, "endurance_table", None)
@@ -86,7 +86,7 @@ class InvariantCheckObserver(EngineObserver):
 
     def _check(self, scheme: "WearLeveler", step: int) -> None:
         if scheme is not self._scheme:
-            # drive() without begin_run(), or a different scheme than the
+            # drive() outside run(), or a different scheme than the
             # one primed: (re-)baseline against this scheme now.
             self._prime(scheme)
         self.checks += 1

@@ -41,7 +41,7 @@ from typing import Dict, Optional, Union
 
 from ..config import ScaledArrayConfig, SoftErrorConfig
 from ..devtools import sanitize
-from ..engine import SnapshotPlan, discard_snapshot
+from ..engine import DEFAULT_BATCH_SIZE, SnapshotPlan, discard_snapshot
 from ..errors import ConfigError
 from ..sim.drivers import TraceDriver
 from ..traces.trace import Trace
@@ -101,11 +101,11 @@ class ExperimentCell:
     profile: Optional[BenchmarkProfile] = None
     #: Display label for progress lines and error messages.
     label: str = ""
-    #: Demand writes per engine step (1 = legacy per-write path).  By
+    #: Demand writes per engine step (1 = the per-write reference).  By
     #: the batch-identity contract the result is the same for every
     #: value, so this field is *excluded* from the cache fingerprint —
     #: it is an execution knob, not part of the experiment's identity.
-    batch_size: int = 1
+    batch_size: int = DEFAULT_BATCH_SIZE
     #: Controller soft-error injection (``attack``/``trace`` kinds).
     #: Part of the cell's identity: a faulted run is a different
     #: experiment than a clean one.

@@ -430,8 +430,8 @@ def run_setup_cells(
     ``snapshot_every``, ``failure`` and ``resume`` fields — the single
     integration point
     through which every figure/ablation module gets parallelism,
-    caching, the batched write protocol and the failure policy (cells
-    that do not pin their own ``batch_size`` inherit the setup's).  A
+    caching, the engine batch size and the failure policy (every cell
+    runs at the setup's ``batch_size``).  A
     ``resume`` path opens (creating if needed) the checkpoint journal
     there, so an interrupted campaign restarted with the same setup
     skips every cell the journal already records.  Progress defaults to
@@ -440,12 +440,7 @@ def run_setup_cells(
     calls don't chatter).
     """
     cache = CellCache(setup.cache_dir) if getattr(setup, "cache_dir", None) else None
-    batch_size = getattr(setup, "batch_size", 1)
-    if batch_size > 1:
-        cells = [
-            replace(cell, batch_size=batch_size) if cell.batch_size == 1 else cell
-            for cell in cells
-        ]
+    cells = [replace(cell, batch_size=setup.batch_size) for cell in cells]
     snapshot_every = getattr(setup, "snapshot_every", 0)
     snapshot_dir = getattr(setup, "cache_dir", None)
     if snapshot_every > 0 and snapshot_dir:

@@ -24,9 +24,9 @@ Three write paths are provided:
   common no-failure case is a single vectorized accumulate; the ordered
   scalar scan only runs when some page can actually cross its endurance
   within the batch;
-* :meth:`apply_write_counts` — unordered vectorized bulk application for
-  fast-forward simulation, attributing the first failure by the fluid
-  approximation.
+* :meth:`apply_write_counts` — unordered vectorized bulk application
+  for closed-form scheme paths (Start-Gap), which must not wear out a
+  page: without an order there is no exact failure to attribute.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..config import PCMConfig
-from ..errors import AddressError, ConfigError, PageWornOutError
+from ..errors import AddressError, ConfigError, PageWornOutError, SimulationError
 from .endurance import sample_gaussian_endurance, sample_tail_faithful
 from .faults import FirstFailure
 
@@ -258,15 +258,13 @@ class PCMArray:
         return int(applied.size)
 
     def apply_write_counts(self, per_page_writes: np.ndarray) -> None:
-        """Vectorized bulk write application (fast-forward path).
+        """Vectorized bulk write application, in no particular order.
 
-        ``per_page_writes`` must have one entry per page.  If the bulk
-        application wears out pages, the first failure is attributed to
-        the page that would fail earliest assuming each page's writes are
-        spread evenly across the bulk interval — the standard fluid
-        approximation used by fast-forward simulation.  (Use
-        :meth:`apply_batch` when the write *order* is known and exact
-        attribution is required.)
+        ``per_page_writes`` must have one entry per page.  An unordered
+        bulk cannot say which write wore a page out first, so one that
+        would bring a written page to its endurance raises
+        :class:`SimulationError` before touching any state; callers
+        check first and fall back to the ordered :meth:`apply_batch`.
         """
         counts = np.asarray(per_page_writes, dtype=np.int64)
         if counts.shape != (self.n_pages,):
@@ -275,31 +273,14 @@ class PCMArray:
             )
         if (counts < 0).any():
             raise ConfigError("write counts must be non-negative")
-        chunk_total = int(counts.sum())
-        if chunk_total == 0:
-            return
+        worn = (counts > 0) & (self.writes + counts >= self.endurance)
+        if worn.any():
+            raise SimulationError(
+                f"bulk write application would wear out page "
+                f"{int(np.argmax(worn))}; apply an ordered batch instead"
+            )
         self.writes += counts
-        self.total_writes += chunk_total
-        if self._first_failure is None:
-            crossed = np.nonzero(self.writes >= self.endurance)[0]
-            if crossed.size:
-                # Fluid approximation: page p fails after fraction
-                # (endurance - before) / counts of the chunk.
-                before_crossed = self.writes[crossed] - counts[crossed]
-                fractions = (
-                    self.endurance[crossed] - before_crossed
-                ) / counts[crossed].astype(np.float64)
-                winner = int(crossed[np.argmin(fractions)])
-                fraction = float(np.min(fractions))
-                device_writes = (
-                    self.total_writes - chunk_total + int(round(fraction * chunk_total))
-                )
-                self.failed = True
-                self._first_failure = FirstFailure(
-                    physical_page=winner,
-                    device_writes=max(1, device_writes),
-                    page_endurance=int(self.endurance[winner]),
-                )
+        self.total_writes += int(counts.sum())
 
     # ------------------------------------------------------------------
     # Mid-run persistence

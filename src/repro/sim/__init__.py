@@ -1,12 +1,10 @@
 """Trace-driven PCM lifetime simulation.
 
-* :mod:`repro.sim.drivers` — workload drivers that push trace or attack
-  writes through a scheme;
-* :mod:`repro.sim.lifetime` — exact run-to-failure and the
-  :class:`LifetimeResult` record;
-* :mod:`repro.sim.fastforward` — steady-state wear-rate extrapolation for
-  long lifetimes (the paper loops traces "until a PCM page wears out";
-  fast-forward makes that tractable at high endurance);
+* :mod:`repro.sim.drivers` — workload drivers that feed trace, stream
+  or attack writes to the engine;
+* :mod:`repro.sim.lifetime` — exact run-to-failure (the paper loops
+  traces "until a PCM page wears out") and the :class:`LifetimeResult`
+  record;
 * :mod:`repro.sim.runner` — one-call experiment helpers;
 * :mod:`repro.sim.metrics` — scheme overhead measurement for the timing
   model.
@@ -14,7 +12,6 @@
 
 from .drivers import WorkloadDriver, TraceDriver, AttackDriver, StreamDriver
 from .lifetime import LifetimeResult, run_to_failure
-from .fastforward import FastForwardConfig, fast_forward_to_failure
 from .runner import (
     build_array,
     measure_attack_lifetime,
@@ -37,8 +34,6 @@ __all__ = [
     "StreamDriver",
     "LifetimeResult",
     "run_to_failure",
-    "FastForwardConfig",
-    "fast_forward_to_failure",
     "build_array",
     "measure_attack_lifetime",
     "measure_stream_lifetime",

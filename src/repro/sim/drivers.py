@@ -2,16 +2,13 @@
 
 A driver owns a position in an infinite write stream (a looping trace,
 a chunked stream, or an adaptive attack) and hands demand writes to the
-simulation engine in two granularities:
-
-* :meth:`WorkloadDriver.drive` pushes writes through a scheme one at a
-  time — the legacy per-write hot loop, with locals bound outside the
-  loop, which is what makes exact run-to-failure simulation of tens of
-  millions of writes practical in pure Python;
-* :meth:`WorkloadDriver.next_batch` yields the next ``n`` logical
-  addresses as an array without serving them, for the batched write
-  protocol (:mod:`repro.engine`); :meth:`WorkloadDriver.observe_batch`
-  feeds the per-request response costs back afterwards.
+simulation engine through its one step protocol (:mod:`repro.engine`):
+:meth:`WorkloadDriver.next_batch` yields the next ``n`` logical
+addresses as an array without serving them, the engine serves them
+through the scheme, and :meth:`WorkloadDriver.observe_batch` feeds the
+per-request response costs back afterwards.  A driver never touches a
+scheme itself; serving writes one at a time is the engine's
+``batch_size=1``, not a separate driver loop.
 
 An adaptive attack steers on the response time of every request, yet
 its next addresses change only when a response flips its plan.  Its
@@ -44,7 +41,6 @@ from ..errors import SimulationError
 from ..traces.request import OP_WRITE
 from ..traces.stream import TraceStream
 from ..traces.trace import Trace
-from ..wearlevel.base import WearLeveler
 
 #: Consecutive writeless chunks after which a stream is declared broken
 #: (an endless generator that stops yielding writes would otherwise spin
@@ -54,14 +50,6 @@ _MAX_WRITELESS_CHUNKS = 100_000
 
 class WorkloadDriver(abc.ABC):
     """Stateful source of demand writes."""
-
-    @abc.abstractmethod
-    def drive(self, scheme: WearLeveler, max_demand: int) -> int:
-        """Serve up to ``max_demand`` demand writes through ``scheme``.
-
-        Stops early when the array fails.  Returns the number of demand
-        writes actually served.
-        """
 
     @property
     def is_adaptive(self) -> bool:
@@ -74,6 +62,7 @@ class WorkloadDriver(abc.ABC):
         """
         return False
 
+    @abc.abstractmethod
     def next_batch(self, n: int, speculative: bool = False) -> np.ndarray:
         """The next (up to) ``n`` logical addresses, without serving them.
 
@@ -89,10 +78,6 @@ class WorkloadDriver(abc.ABC):
         run; everything that reaches a :class:`LifetimeResult` stays
         bit-identical.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the batched write "
-            "protocol; use batch_size=1"
-        )
 
     def observe_batch(self, physical_write_counts: np.ndarray) -> None:
         """Feed back the per-request physical write counts of a batch.
@@ -135,8 +120,7 @@ class TraceDriver(WorkloadDriver):
             raise SimulationError(
                 f"trace touches page {trace.max_page} outside array of {n_pages}"
             )
-        self._writes = writes
-        self._writes_array = np.asarray(writes, dtype=np.int64)
+        self._writes = np.asarray(writes, dtype=np.int64)
         self._position = 0
         self._name = trace.name
         self.loops_completed = 0
@@ -145,29 +129,10 @@ class TraceDriver(WorkloadDriver):
     def workload_name(self) -> str:
         return self._name
 
-    def drive(self, scheme: WearLeveler, max_demand: int) -> int:
-        if max_demand < 0:
-            raise ValueError("max_demand must be non-negative")
-        writes = self._writes
-        length = len(writes)
-        position = self._position
-        write = scheme.write
-        array = scheme.array
-        served = 0
-        while served < max_demand and not array.failed:
-            write(writes[position])
-            served += 1
-            position += 1
-            if position == length:
-                position = 0
-                self.loops_completed += 1
-        self._position = position
-        return served
-
     def next_batch(self, n: int, speculative: bool = False) -> np.ndarray:
         if n < 0:
             raise ValueError("batch size must be non-negative")
-        writes = self._writes_array
+        writes = self._writes
         length = writes.size
         out = np.empty(n, dtype=np.int64)
         position = self._position
@@ -265,27 +230,6 @@ class StreamDriver(WorkloadDriver):
             self._writes_this_loop = True
             return
 
-    def drive(self, scheme: WearLeveler, max_demand: int) -> int:
-        if max_demand < 0:
-            raise ValueError("max_demand must be non-negative")
-        write = scheme.write
-        array = scheme.array
-        served = 0
-        while served < max_demand and not array.failed:
-            if self._offset >= self._buffer.size:
-                self._refill()
-            take = min(max_demand - served, self._buffer.size - self._offset)
-            chunk = self._buffer[self._offset : self._offset + take]
-            consumed = 0
-            for logical in chunk.tolist():
-                write(logical)
-                consumed += 1
-                if array.failed:
-                    break
-            self._offset += consumed
-            served += consumed
-        return served
-
     def next_batch(self, n: int, speculative: bool = False) -> np.ndarray:
         if n < 0:
             raise ValueError("batch size must be non-negative")
@@ -339,22 +283,6 @@ class AttackDriver(WorkloadDriver):
     @property
     def workload_name(self) -> str:
         return self.attack.name
-
-    def drive(self, scheme: WearLeveler, max_demand: int) -> int:
-        if max_demand < 0:
-            raise ValueError("max_demand must be non-negative")
-        attack = self.attack
-        next_write = attack.next_write
-        observe = attack.observe_response
-        write = scheme.write
-        array = scheme.array
-        write_cycles = float(self.timing.write_cycles)
-        served = 0
-        while served < max_demand and not array.failed:
-            physical_writes = write(next_write())
-            observe(write_cycles * physical_writes)
-            served += 1
-        return served
 
     @property
     def is_adaptive(self) -> bool:

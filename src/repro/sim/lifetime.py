@@ -21,6 +21,7 @@ from typing import Dict, Iterable, Optional
 from ..analysis.calibration import PAPER_IDEAL_CALIBRATION, ideal_lifetime_seconds
 from ..config import PCMConfig, PAPER_PCM, SoftErrorConfig
 from ..engine import (
+    DEFAULT_BATCH_SIZE,
     EngineObserver,
     InvariantCheckObserver,
     SimulationEngine,
@@ -95,7 +96,7 @@ def run_to_failure(
     driver: WorkloadDriver,
     max_demand: int = DEFAULT_MAX_DEMAND,
     require_failure: bool = True,
-    batch_size: int = 1,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     observers: Iterable[EngineObserver] = (),
     soft_errors: Optional[SoftErrorConfig] = None,
     check_invariants: bool = False,
@@ -104,19 +105,19 @@ def run_to_failure(
     """Exact simulation: drive demand writes until the first page failure.
 
     A thin configuration of :class:`repro.engine.SimulationEngine`:
-    ``batch_size`` selects the batched write protocol (bit-identical to
-    the default per-write path) and ``observers`` attach per-batch
-    hooks.  ``soft_errors`` injects controller soft errors through the
-    engine step loop (at rate 0, or over a scheme with no fault
-    surface, no injector is built and the run is untouched);
+    ``batch_size`` sets the demand writes per engine step (bit-identical
+    to the per-write reference, ``batch_size=1``) and ``observers``
+    attach per-batch hooks.  ``soft_errors`` injects controller soft
+    errors through the engine step loop (at rate 0, or over a scheme
+    with no fault surface, no injector is built and the run is
+    untouched);
     ``check_invariants`` attaches a critical
     :class:`~repro.engine.InvariantCheckObserver` so any resulting
     state corruption raises :class:`~repro.errors.InvariantViolation`
     instead of silently skewing the result.  Raises
     :class:`~repro.errors.SimulationError` if the cap is reached
     without a failure and ``require_failure`` is set — a sign the scale
-    was chosen too large for exact simulation (use fast-forward
-    instead).
+    was chosen too large for exact simulation.
 
     ``snapshots`` arms mid-run checkpointing (sub-cell recovery): the
     engine emits crash-consistent snapshots at the plan's cadence, and

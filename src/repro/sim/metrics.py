@@ -10,7 +10,12 @@ can attach to any run.
 
 from __future__ import annotations
 
-from ..engine import SchemeOverheads, SchemeOverheadsObserver, SimulationEngine
+from ..engine import (
+    DEFAULT_BATCH_SIZE,
+    SchemeOverheads,
+    SchemeOverheadsObserver,
+    SimulationEngine,
+)
 from ..errors import SimulationError
 from ..wearlevel.base import WearLeveler
 from .drivers import WorkloadDriver
@@ -22,7 +27,7 @@ def measure_scheme_overheads(
     scheme: WearLeveler,
     driver: WorkloadDriver,
     n_demand_writes: int,
-    batch_size: int = 1,
+    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> SchemeOverheads:
     """Drive ``n_demand_writes`` and report the scheme's overhead ratios."""
     if n_demand_writes < 1:

@@ -11,7 +11,6 @@ from typing import Callable, Optional
 
 from ..attacks.registry import make_attack
 from ..config import ScaledArrayConfig, SoftErrorConfig, TimingConfig
-from ..errors import ConfigError
 from ..pcm.array import PCMArray
 from ..pcm.endurance import sample_gaussian_endurance, sample_tail_faithful
 from ..rng.streams import make_generator
@@ -19,8 +18,7 @@ from ..traces.stream import TraceStream
 from ..traces.trace import Trace
 from ..wearlevel.registry import make_scheme
 from .drivers import AttackDriver, StreamDriver, TraceDriver
-from ..engine import SnapshotPlan
-from .fastforward import FastForwardConfig, fast_forward_to_failure
+from ..engine import DEFAULT_BATCH_SIZE, SnapshotPlan
 from .lifetime import DEFAULT_MAX_DEMAND, LifetimeResult, run_to_failure
 
 #: Default scale for experiments.  The endurance-to-footprint ratio
@@ -59,44 +57,31 @@ def measure_attack_lifetime(
     attack_name: str,
     scaled: ScaledArrayConfig = DEFAULT_SCALED,
     seed: int = 2017,
-    fastforward: bool = False,
-    ff_config: Optional[FastForwardConfig] = None,
     timing: TimingConfig = TimingConfig(),
     scheme_kwargs: Optional[dict] = None,
     attack_kwargs: Optional[dict] = None,
-    batch_size: int = 1,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     soft_errors: Optional[SoftErrorConfig] = None,
     check_invariants: bool = False,
     snapshots: Optional[SnapshotPlan] = None,
 ) -> LifetimeResult:
     """Lifetime of ``scheme_name`` under ``attack_name`` at scaled size.
 
-    ``batch_size`` selects the engine's batched write protocol; results
-    are bit-identical to the default per-write path for every
-    registered scheme (adaptive attacks get speculative batches that
-    end at the first response they could notice, which preserves their
-    feedback loop).  ``soft_errors`` /
-    ``check_invariants`` enable controller soft-error injection and the
-    runtime invariant checker (exact simulation only: fast-forward
-    extrapolates wear analytically, which has no step loop to deliver
-    flips through).  ``snapshots`` arms mid-run checkpointing and
-    resume (sub-cell recovery; exact simulation only — see
-    :func:`repro.sim.lifetime.run_to_failure`).
+    ``batch_size`` is the engine's demand writes per step; results are
+    bit-identical to the per-write reference (``batch_size=1``) for
+    every registered scheme (adaptive attacks get speculative batches
+    that end at the first response they could notice, which preserves
+    their feedback loop).  ``soft_errors`` / ``check_invariants``
+    enable controller soft-error injection and the runtime invariant
+    checker.  ``snapshots`` arms mid-run checkpointing and resume
+    (sub-cell recovery, see :func:`repro.sim.lifetime.run_to_failure`).
     """
-    _check_fault_support(fastforward, soft_errors, snapshots)
     array = build_array(scaled)
     scheme = make_scheme(scheme_name, array, seed=seed, **(scheme_kwargs or {}))
     attack = make_attack(
         attack_name, scheme.logical_pages, seed=seed, **(attack_kwargs or {})
     )
     driver = AttackDriver(attack, timing=timing)
-    if fastforward:
-        return fast_forward_to_failure(
-            scheme,
-            driver,
-            config=ff_config or FastForwardConfig(),
-            batch_size=batch_size,
-        )
     return run_to_failure(
         scheme,
         driver,
@@ -112,33 +97,20 @@ def measure_trace_lifetime(
     trace: Trace,
     scaled: ScaledArrayConfig = DEFAULT_SCALED,
     seed: int = 2017,
-    fastforward: bool = False,
-    ff_config: Optional[FastForwardConfig] = None,
     scheme_kwargs: Optional[dict] = None,
-    batch_size: int = 1,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     soft_errors: Optional[SoftErrorConfig] = None,
     check_invariants: bool = False,
     snapshots: Optional[SnapshotPlan] = None,
 ) -> LifetimeResult:
     """Lifetime of ``scheme_name`` looping ``trace`` at scaled size.
 
-    ``batch_size`` selects the engine's batched write protocol; results
-    are bit-identical to the default per-write path.  ``soft_errors``
-    and ``check_invariants`` behave as in
-    :func:`measure_attack_lifetime` (exact simulation only), and so
-    does ``snapshots``.
+    ``batch_size``, ``soft_errors``, ``check_invariants`` and
+    ``snapshots`` behave as in :func:`measure_attack_lifetime`.
     """
-    _check_fault_support(fastforward, soft_errors, snapshots)
     array = build_array(scaled)
     scheme = make_scheme(scheme_name, array, seed=seed, **(scheme_kwargs or {}))
     driver = TraceDriver(trace, scheme.logical_pages)
-    if fastforward:
-        return fast_forward_to_failure(
-            scheme,
-            driver,
-            config=ff_config or FastForwardConfig(),
-            batch_size=batch_size,
-        )
     return run_to_failure(
         scheme,
         driver,
@@ -155,7 +127,7 @@ def measure_stream_lifetime(
     scaled: ScaledArrayConfig = DEFAULT_SCALED,
     seed: int = 2017,
     scheme_kwargs: Optional[dict] = None,
-    batch_size: int = 1,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     max_demand: int = DEFAULT_MAX_DEMAND,
     require_failure: bool = True,
     soft_errors: Optional[SoftErrorConfig] = None,
@@ -174,7 +146,6 @@ def measure_stream_lifetime(
     results are bit-identical to a materialized
     :func:`measure_trace_lifetime` run of the same request sequence.
     """
-    _check_fault_support(False, soft_errors, snapshots)
     array = build_array(scaled)
     scheme = make_scheme(scheme_name, array, seed=seed, **(scheme_kwargs or {}))
     stream = stream_factory(scheme.logical_pages)
@@ -193,27 +164,3 @@ def measure_stream_lifetime(
     finally:
         stream.close()
 
-
-def _check_fault_support(
-    fastforward: bool,
-    soft_errors: Optional[SoftErrorConfig],
-    snapshots: Optional[SnapshotPlan] = None,
-) -> None:
-    """Reject fault injection / checkpointing on fast-forward up front.
-
-    Fast-forward extrapolates the tail of the run analytically; there
-    is no step loop to schedule flips against — or to emit snapshots
-    from — so silently dropping either would make the run quietly
-    different from what was asked for.  Failing loudly is the honest
-    option.
-    """
-    if fastforward and soft_errors is not None and soft_errors.rate > 0.0:
-        raise ConfigError(
-            "soft-error injection requires exact simulation; "
-            "fastforward=True cannot deliver scheduled bit flips"
-        )
-    if fastforward and snapshots is not None:
-        raise ConfigError(
-            "mid-run snapshots require exact simulation; "
-            "fastforward=True has no step loop to emit them from"
-        )

@@ -11,9 +11,11 @@ fast:
 * :meth:`WearLeveler.write_batch` serves an ordered batch of logical
   writes and returns the per-request physical write counts.  The base
   implementation is the per-write loop, so batching is bit-identical by
-  construction; schemes with a cheap data path override it with a
-  vectorized fast path that must preserve that identity (enforced by
-  ``tests/test_engine_identity.py``).  With ``stop_at_visible`` it also
+  construction, and the engine serves every ``batch_size=1`` step
+  through it as the scalar reference; schemes with a cheap data path
+  override it with a vectorized fast path that must preserve that
+  identity (enforced by ``tests/test_engine_identity.py``).  With
+  ``stop_at_visible`` it also
   stops after the first request an attacker could notice — the mode
   the engine uses for speculative batches of adaptive attacks.
 * :meth:`WearLeveler.translate` is the side-effect-free LA -> PA lookup

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.attacks.scan import ScanWriteAttack
-from repro.errors import ExtrapolationError
+from repro.engine import SimulationEngine
 from repro.pcm.array import PCMArray
 from repro.sim.drivers import AttackDriver, TraceDriver
-from repro.sim.fastforward import FastForwardConfig, fast_forward_to_failure
 from repro.traces.request import OP_READ
 from repro.traces.trace import Trace
 from repro.wearlevel.nowl import NoWearLeveling
@@ -19,16 +18,16 @@ class TestDriverEdges:
         scheme = NoWearLeveling(array)
         driver = AttackDriver(ScanWriteAttack(4))
         with pytest.raises(ValueError):
-            driver.drive(scheme, -1)
+            SimulationEngine(scheme, driver, batch_size=1).drive(-1)
         trace_driver = TraceDriver(Trace.writes_only([0]), 4)
         with pytest.raises(ValueError):
-            trace_driver.drive(scheme, -1)
+            SimulationEngine(scheme, trace_driver, batch_size=1).drive(-1)
 
     def test_zero_quota_noop(self):
         array = PCMArray.uniform(4, 100)
         scheme = NoWearLeveling(array)
         driver = AttackDriver(ScanWriteAttack(4))
-        assert driver.drive(scheme, 0) == 0
+        assert SimulationEngine(scheme, driver, batch_size=1).drive(0) == 0
         assert array.total_writes == 0
 
 
@@ -50,27 +49,6 @@ class TestTraceEdges:
 
     def test_repr_mentions_name(self):
         assert "demo" in repr(Trace.writes_only([0], name="demo"))
-
-
-class TestFastForwardEdges:
-    def test_max_rounds_exhaustion(self):
-        """A workload that never revisits pages defeats rate estimation
-        and must terminate with ExtrapolationError, not hang."""
-
-        class OneShotDriver(TraceDriver):
-            pass
-
-        array = PCMArray.uniform(1024, 10**9)
-        scheme = NoWearLeveling(array)
-        # Visit each page once per full loop: with endurance 1e9 the
-        # time-to-death estimate stays astronomically far, jumps are
-        # capped by the doubling rule and rounds run out.
-        driver = TraceDriver(Trace.writes_only(list(range(1024))), 1024)
-        config = FastForwardConfig(
-            warmup_demand=512, window_demand=512, max_rounds=3
-        )
-        with pytest.raises(ExtrapolationError):
-            fast_forward_to_failure(scheme, driver, config=config)
 
 
 class TestArrayEdges:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import PCMConfig
-from repro.errors import AddressError, ConfigError, PageWornOutError
+from repro.errors import AddressError, ConfigError, PageWornOutError, SimulationError
 from repro.pcm.array import PCMArray
 
 
@@ -106,14 +106,13 @@ class TestBulkApply:
         assert uniform_array.total_writes == 160
         assert (uniform_array.write_counts() == 10).all()
 
-    def test_failure_fluid_attribution(self):
+    def test_rejects_crossing_endurance(self):
+        # An unordered bulk has no exact failure instant to attribute.
         array = PCMArray(np.array([100, 1000]))
-        counts = np.array([200, 200])
-        array.apply_write_counts(counts)
-        failure = array.first_failure
-        assert failure.physical_page == 0
-        # Page 0 fails halfway through its share of the chunk.
-        assert 150 <= failure.device_writes <= 250
+        with pytest.raises(SimulationError, match="wear out page 0"):
+            array.apply_write_counts(np.array([200, 200]))
+        assert array.total_writes == 0
+        assert not array.failed
 
     def test_mixed_scalar_then_bulk(self, uniform_array):
         uniform_array.write(0)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.attacks.repeat import RepeatWriteAttack
 from repro.attacks.scan import ScanWriteAttack
+from repro.engine import SimulationEngine
 from repro.errors import SimulationError
 from repro.pcm.array import PCMArray
 from repro.sim.drivers import AttackDriver, TraceDriver
@@ -20,7 +21,7 @@ class TestTraceDriver:
         array = PCMArray.uniform(8, 10**6)
         scheme = NoWearLeveling(array)
         driver = TraceDriver(Trace.writes_only([0, 1, 2]), 8)
-        served = driver.drive(scheme, 10)
+        served = SimulationEngine(scheme, driver, batch_size=1).drive(10)
         assert served == 10
         assert driver.loops_completed == 3
         assert array.page_writes(0) == 4
@@ -29,7 +30,7 @@ class TestTraceDriver:
         array = PCMArray.uniform(4, 5)
         scheme = NoWearLeveling(array)
         driver = TraceDriver(Trace.writes_only([0]), 4)
-        served = driver.drive(scheme, 100)
+        served = SimulationEngine(scheme, driver, batch_size=1).drive(100)
         assert served == 5
         assert array.has_failure
 
@@ -37,8 +38,9 @@ class TestTraceDriver:
         array = PCMArray.uniform(8, 10**6)
         scheme = NoWearLeveling(array)
         driver = TraceDriver(Trace.writes_only([0, 1, 2, 3]), 8)
-        driver.drive(scheme, 2)
-        driver.drive(scheme, 2)
+        engine = SimulationEngine(scheme, driver, batch_size=1)
+        engine.drive(2)
+        engine.drive(2)
         assert array.page_writes(3) == 1
 
     def test_rejects_trace_outside_space(self):
@@ -56,7 +58,7 @@ class TestAttackDriver:
         array = PCMArray.uniform(8, 10**6)
         scheme = NoWearLeveling(array)
         driver = AttackDriver(ScanWriteAttack(8))
-        assert driver.drive(scheme, 16) == 16
+        assert SimulationEngine(scheme, driver, batch_size=1).drive(16) == 16
         assert (array.write_counts() == 2).all()
 
     def test_feedback_reaches_attack(self):
@@ -64,7 +66,7 @@ class TestAttackDriver:
         scheme = SecurityRefresh(array, seed=1)
         attack = ScanWriteAttack(64)
         driver = AttackDriver(attack)
-        driver.drive(scheme, 1000)
+        SimulationEngine(scheme, driver, batch_size=1).drive(1000)
         assert attack.writes_emitted == 1000
 
     def test_workload_name(self):

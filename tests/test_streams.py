@@ -19,6 +19,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.engine import SimulationEngine
 from repro.errors import ConfigError, SimulationError, TraceError
 from repro.pcm.array import PCMArray
 from repro.sim.drivers import StreamDriver, TraceDriver
@@ -555,8 +556,10 @@ class TestStreamDriver:
         array_b = PCMArray.uniform(32, 256.0)
         scheme_a = make_scheme("nowl", array_a, seed=7)
         scheme_b = make_scheme("nowl", array_b, seed=7)
-        StreamDriver(trace.stream(chunk_size=11), 32).drive(scheme_a, 2000)
-        TraceDriver(trace, 32).drive(scheme_b, 2000)
+        SimulationEngine(
+            scheme_a, StreamDriver(trace.stream(chunk_size=11), 32), batch_size=1
+        ).drive(2000)
+        SimulationEngine(scheme_b, TraceDriver(trace, 32), batch_size=1).drive(2000)
         assert np.array_equal(array_a.write_counts(), array_b.write_counts())
 
 
