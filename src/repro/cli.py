@@ -21,10 +21,10 @@ relocates it.
 Long campaigns can be hardened (``docs/robustness.md``): ``--retries``
 re-runs failed cells, ``--cell-timeout`` bounds each cell's wall
 clock, ``--keep-going`` finishes the campaign past failures (a single
-summary error is raised at the end), and ``--resume PATH`` checkpoints
-progress to an append-only journal so a killed campaign restarted with
-the same flag skips every finished cell — all execution knobs, so the
-results stay bit-identical to a clean serial run.  ``--snapshot-every
+summary error is raised at the end), and ``--resume DIR`` stores every
+finished cell in a directory of per-cell entries so a killed campaign
+restarted with the same flag skips every finished cell — all execution
+knobs, so the results stay bit-identical to a clean serial run.  ``--snapshot-every
 N`` goes sub-cell: the engine periodically writes a crash-consistent
 snapshot of its full state into the cache directory, and a killed cell
 restarted under the same identity resumes from the last snapshot
@@ -56,7 +56,7 @@ from typing import Callable, Dict, List, Optional
 
 from .devtools import sanitize
 from .engine import DEFAULT_BATCH_SIZE
-from .errors import ReproError
+from .errors import ConfigError, ReproError
 from .exec.cache import default_cache_dir
 from .exec.policy import ON_ERROR_FAIL_FAST, ON_ERROR_KEEP_GOING, FailurePolicy
 from .experiments import (
@@ -294,12 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--resume",
         default=None,
-        metavar="MANIFEST",
+        metavar="DIR",
         help=(
-            "checkpoint journal (JSONL) to append campaign progress to; "
-            "cells already recorded there are skipped, so re-running a "
-            "killed campaign with the same flag resumes it — works even "
-            "with --no-cache"
+            "directory to store each finished cell's result in (created "
+            "if needed); cells already stored there are skipped, so "
+            "re-running a killed campaign with the same flag resumes "
+            "it — works even with --no-cache"
         ),
     )
     parser.add_argument(
@@ -389,6 +389,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.snapshot_every is not None:
         setup = replace(setup, snapshot_every=args.snapshot_every)
     try:
+        if args.resume is not None and os.path.isfile(args.resume):
+            # A JSONL manifest from an older version, most likely:
+            # refuse it up front rather than fail (or ignore it) later.
+            raise ConfigError(
+                f"--resume {args.resume!r} is a file; resume state is now "
+                "a directory of per-cell entries (older JSONL manifests "
+                "are not read) — pass a directory path"
+            )
         if args.experiment == "report":
             from .analysis.report import build_report
 

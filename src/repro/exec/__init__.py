@@ -8,15 +8,15 @@ declarative grids of independent cells:
 * :mod:`repro.exec.hashing` — stable content fingerprints keying the
   cache;
 * :mod:`repro.exec.cache` — :class:`CellCache`, one JSON file per cell
-  under ``~/.cache/twl-repro/``;
+  under ``~/.cache/twl-repro/``, and the package's only result store: a
+  ``--resume DIR`` campaign and each campaign-server session are
+  :class:`CellCache` directories too;
 * :mod:`repro.exec.executor` — serial or process-pool execution with
   progress lines and per-cell timing;
 * :mod:`repro.exec.deadline` — :class:`CellDeadline`, the portable
   any-thread per-cell wall-clock budget behind ``FailurePolicy.timeout``;
 * :mod:`repro.exec.policy` — :class:`FailurePolicy` (retries with
   deterministic backoff, per-cell timeout, fail-fast vs keep-going);
-* :mod:`repro.exec.checkpoint` — :class:`CheckpointJournal`,
-  append-only JSONL campaign manifest for crash-safe ``--resume``;
 * :mod:`repro.exec.faults` — deterministic, env-activated fault
   injection used by ``tests/test_resilience.py`` and the CI smoke job.
 
@@ -54,7 +54,6 @@ from .policy import (
 )
 from .faults import FAULTS_ENV, FaultInjectionError, FaultPlan, active_plan
 from .cache import CellCache, decode_result, default_cache_dir, encode_result
-from .checkpoint import CheckpointJournal
 from .deadline import CellDeadline, DeadlineReached
 from .executor import CellOutcome, execute_cells, run_cells, run_setup_cells
 
@@ -68,7 +67,6 @@ __all__ = [
     "FaultInjectionError",
     "FaultPlan",
     "active_plan",
-    "CheckpointJournal",
     "CellDeadline",
     "DeadlineReached",
     "decode_result",

@@ -12,8 +12,11 @@ cache directory (default ``~/.cache/twl-repro/``, override with
         6c53…e2a1.json    {"cell": "twl_swp×scan seed=2017", "kind": …}
 
 One file per entry (rather than one big JSON) keeps concurrent
-campaigns safe: writes are atomic ``os.replace`` renames and two
-processes caching the same cell simply produce the same file.
+campaigns safe: writes are fsync'd temp files renamed into place with
+``os.replace``, and two processes caching the same cell simply produce
+the same file.  The same class is the package's only result store: a
+``--resume DIR`` campaign and each campaign-server session are
+:class:`CellCache` directories too.
 
 Invalidation is by construction: the fingerprint covers the cell spec
 and ``repro.version.__version__``, so any spec or version change maps
@@ -32,7 +35,7 @@ import threading
 from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigError
-from ..sim.cache import deserialize_result, serialize_result
+from ..pcm.faults import FirstFailure
 from ..sim.lifetime import LifetimeResult
 from ..sim.metrics import SchemeOverheads
 from .cells import CellResult, ExperimentCell
@@ -93,12 +96,65 @@ def _deserialize_overheads(record: Dict) -> SchemeOverheads:
     )
 
 
+def serialize_result(result: LifetimeResult) -> Dict:
+    """JSON-ready record for a :class:`LifetimeResult`.
+
+    The failure record is reduced to its three integers;
+    :func:`deserialize_result` rebuilds a full object.
+    """
+    record = {
+        "scheme": result.scheme,
+        "workload": result.workload,
+        "n_pages": result.n_pages,
+        "endurance_mean": result.endurance_mean,
+        "demand_writes": result.demand_writes,
+        "device_writes": result.device_writes,
+        "failed": result.failed,
+        "estimation": result.estimation,
+    }
+    if result.failure is not None:
+        record["failure"] = {
+            "physical_page": result.failure.physical_page,
+            "device_writes": result.failure.device_writes,
+            "page_endurance": result.failure.page_endurance,
+        }
+    if result.soft_errors is not None:
+        record["soft_errors"] = {
+            key: result.soft_errors[key] for key in sorted(result.soft_errors)
+        }
+    return record
+
+
+def deserialize_result(record: Dict) -> LifetimeResult:
+    """Rebuild a :class:`LifetimeResult` from its JSON record."""
+    failure = None
+    if "failure" in record:
+        failure = FirstFailure(
+            physical_page=record["failure"]["physical_page"],
+            device_writes=record["failure"]["device_writes"],
+            page_endurance=record["failure"]["page_endurance"],
+        )
+    return LifetimeResult(
+        scheme=record["scheme"],
+        workload=record["workload"],
+        n_pages=record["n_pages"],
+        endurance_mean=record["endurance_mean"],
+        demand_writes=record["demand_writes"],
+        device_writes=record["device_writes"],
+        failed=record["failed"],
+        failure=failure,
+        estimation=record.get("estimation", "exact"),
+        soft_errors=record.get("soft_errors"),
+    )
+
+
 def encode_result(result: CellResult) -> Tuple[str, Dict]:
     """``(kind, payload)`` JSON form of a cell result.
 
-    Shared by the cache and the checkpoint journal so a result served
-    from either round-trips identically — the identity contract for
-    resumed campaigns rides on this.
+    Shared by every result store and the campaign server's wire format,
+    so a result served from a cache, a resume directory or a socket
+    round-trips identically — the identity contract for resumed
+    campaigns rides on this.
     """
     if isinstance(result, LifetimeResult):
         return "lifetime", serialize_result(result)
@@ -151,8 +207,14 @@ class CellCache:
             # still decodes as a miss and gets rewritten on put().
             pass
 
-    def get(self, cell: ExperimentCell) -> Optional[CellResult]:
+    def get(
+        self, cell: ExperimentCell, fingerprint: Optional[str] = None
+    ) -> Optional[CellResult]:
         """Cached result for ``cell``, or None.
+
+        ``fingerprint`` is the cell's :func:`cell_fingerprint` when the
+        caller already holds it (the executor and the server do), so a
+        lookup never hashes the cell twice.
 
         A missing entry is a plain miss.  An entry that exists but
         fails to decode is a miss *and* increments ``corrupt``; the bad
@@ -160,7 +222,9 @@ class CellCache:
         half-written or bit-rotted file can never poison a campaign yet
         stays around for diagnosis.
         """
-        path = self.path_for(cell_fingerprint(cell))
+        if fingerprint is None:
+            fingerprint = cell_fingerprint(cell)
+        path = self.path_for(fingerprint)
         try:
             with open(path) as handle:
                 record = json.load(handle)
@@ -190,10 +254,22 @@ class CellCache:
         self.hits += 1
         return result
 
-    def put(self, cell: ExperimentCell, result: CellResult) -> None:
-        """Persist ``result`` atomically under the cell's fingerprint."""
+    def put(
+        self,
+        cell: ExperimentCell,
+        result: CellResult,
+        fingerprint: Optional[str] = None,
+    ) -> None:
+        """Persist ``result`` durably and atomically under the cell's
+        fingerprint (pass ``fingerprint`` when already computed).
+
+        The temp file is flushed and fsync'd *before* the rename, so a
+        crash can leave a stray temp file or the previous entry, never
+        a renamed-but-unwritten one — ``--resume`` depends on that.
+        """
         os.makedirs(self.directory, exist_ok=True)
-        fingerprint = cell_fingerprint(cell)
+        if fingerprint is None:
+            fingerprint = cell_fingerprint(cell)
         kind, payload = encode_result(result)
         record = {
             "format": CACHE_FORMAT_VERSION,
@@ -206,6 +282,8 @@ class CellCache:
         try:
             with open(temp_path, "w") as handle:
                 json.dump(record, handle, sort_keys=True)
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(temp_path, path)
         except BaseException:
             # json.dump can die mid-write (disk full, unserializable

@@ -9,7 +9,7 @@ across a :class:`concurrent.futures.ProcessPoolExecutor` when
   its spec (all RNG streams derive from the cell seed), and workers
   receive only the spec, so ``jobs=N`` reproduces ``jobs=1`` exactly —
   enforced by ``tests/test_exec.py``.  The same purity makes *retries,
-  pool rebuilds and checkpoint resume* identity-preserving: re-running
+  pool rebuilds and resume* identity-preserving: re-running
   a cell can only reproduce the result the clean run would have
   produced (``tests/test_resilience.py`` enforces that too).
 * **Failures keep their identity.**  Workers wrap any
@@ -20,7 +20,7 @@ across a :class:`concurrent.futures.ProcessPoolExecutor` when
   exceptions like ``PageWornOutError`` do not survive unpickling
   across the pool boundary.
 * **Partial progress is never lost.**  Results are written to the
-  cache and the checkpoint journal *as they complete*, before any
+  cache and the resume directory *as they complete*, before any
   sibling's failure can abort the campaign — including siblings that
   finished in the same completion batch as, or were still running at,
   the moment of a fail-fast abort.
@@ -31,8 +31,8 @@ across a :class:`concurrent.futures.ProcessPoolExecutor` when
 
 Resilience is governed by a :class:`~repro.exec.policy.FailurePolicy`
 (retries with deterministic backoff, per-cell wall-clock timeout,
-``fail-fast`` vs ``keep-going``) and a
-:class:`~repro.exec.checkpoint.CheckpointJournal` (crash-safe resume).
+``fail-fast`` vs ``keep-going``) and an optional resume directory —
+a second :class:`~repro.exec.cache.CellCache` (crash-safe resume).
 A worker killed outright (OOM, SIGKILL) surfaces as
 ``BrokenProcessPoolError``; the executor rebuilds the pool and
 re-submits the in-flight cells, degrading to serial execution once the
@@ -44,9 +44,9 @@ is needed to reclaim a hung cell — and, unlike the earlier
 campaign server (:mod:`repro.serve`) and serially-degraded pools drive
 cells.
 
-The cache (:class:`~repro.exec.cache.CellCache`) is consulted in the
-parent before any work is scheduled and written back from the parent as
-results arrive, so workers never touch cache files.
+Both stores are consulted in the parent before any work is scheduled
+and written back from the parent as results arrive, so workers never
+touch their files.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from ..errors import (
 )
 from .cache import CellCache
 from .cells import CellResult, ExperimentCell, cell_snapshot_path, run_cell
-from .checkpoint import CheckpointJournal
 from .deadline import CellDeadline, DeadlineReached
 from .faults import maybe_inject
 from .hashing import cell_fingerprint
@@ -90,7 +89,7 @@ class CellOutcome:
     result: CellResult
     seconds: float
     cached: bool
-    #: True when the result came from a checkpoint journal (a resumed
+    #: True when the result came from the resume directory (a resumed
     #: campaign) rather than fresh execution; such outcomes also report
     #: ``cached=True``.
     resumed: bool = False
@@ -174,14 +173,17 @@ def execute_cells(
     cache: Optional[CellCache] = None,
     progress: ProgressHook = None,
     policy: Optional[FailurePolicy] = None,
-    journal: Optional[CheckpointJournal] = None,
+    journal: Optional[CellCache] = None,
 ) -> List[CellOutcome]:
     """Run every cell, in parallel when ``jobs > 1``, returning outcomes.
 
     Results come back in input order regardless of completion order.
     ``policy`` (default: no retries, no timeout, ``fail-fast``) governs
-    failure handling; ``journal`` records completed/failed cells
-    durably and serves results recorded by a previous, interrupted run.
+    failure handling; ``journal`` is the resume directory: it is read
+    before the cache (hits report ``resumed=True``), and every finished
+    cell it did not itself serve is put into it, so a previous,
+    interrupted run's results are served back.  Failed cells are not
+    recorded and re-run on resume.
 
     Under ``fail-fast`` the first cell to exhaust its retry budget
     aborts the campaign with its :class:`~repro.errors.CellExecutionError`
@@ -220,9 +222,9 @@ def execute_cells(
         # by the progress hook (or Ctrl-C between cells) always leaves
         # this cell durably recorded — the resumability contract.
         if cache is not None and source != "cache":
-            cache.put(cell, result)
-        if journal is not None:
-            journal.record_done(cell, fingerprints[index], result, seconds)
+            cache.put(cell, result, fingerprints[index])
+        if journal is not None and not resumed:
+            journal.put(cell, result, fingerprints[index])
         note(_progress_line(done, total, cell, seconds, cached=cached, resumed=resumed))
 
     def fail(index: int, error: BaseException, attempt_count: int) -> None:
@@ -237,8 +239,6 @@ def execute_cells(
                 attempts=attempt_count,
             )
         )
-        if journal is not None:
-            journal.record_failed(cell, fingerprints[index], str(error))
         note(
             f"[{done}/{total}] {cell.describe()} FAILED "
             f"after {attempt_count} attempt(s): {error}"
@@ -261,12 +261,12 @@ def execute_cells(
 
     for index, cell in enumerate(cells):
         if journal is not None:
-            resumed_result = journal.result_for(fingerprints[index])
+            resumed_result = journal.get(cell, fingerprints[index])
             if resumed_result is not None:
                 finish(index, resumed_result, 0.0, source="journal")
                 continue
         if cache is not None:
-            hit = cache.get(cell)
+            hit = cache.get(cell, fingerprints[index])
             if hit is not None:
                 finish(index, hit, 0.0, source="cache")
                 continue
@@ -403,7 +403,7 @@ def run_cells(
     cache: Optional[CellCache] = None,
     progress: ProgressHook = False,
     policy: Optional[FailurePolicy] = None,
-    journal: Optional[CheckpointJournal] = None,
+    journal: Optional[CellCache] = None,
 ) -> List[CellResult]:
     """Like :func:`execute_cells` but returning bare results."""
     return [
@@ -432,9 +432,10 @@ def run_setup_cells(
     through which every figure/ablation module gets parallelism,
     caching, the engine batch size and the failure policy (every cell
     runs at the setup's ``batch_size``).  A
-    ``resume`` path opens (creating if needed) the checkpoint journal
-    there, so an interrupted campaign restarted with the same setup
-    skips every cell the journal already records.  Progress defaults to
+    ``resume`` path opens (creating if needed) a
+    :class:`~repro.exec.cache.CellCache` directory there, so an
+    interrupted campaign restarted with the same setup skips every
+    cell that directory already holds.  Progress defaults to
     the stderr printer only when a cell actually has to run or more
     than one is requested (a single cached lookup stays quiet so helper
     calls don't chatter).
@@ -455,7 +456,7 @@ def run_setup_cells(
     if progress is None and len(cells) <= 1:
         progress = False
     resume = getattr(setup, "resume", None)
-    journal = CheckpointJournal(resume) if resume else None
+    journal = CellCache(resume) if resume else None
     return run_cells(
         cells,
         jobs=getattr(setup, "jobs", 1),

@@ -7,7 +7,7 @@ newline-delimited JSON over TCP or a UNIX socket, and the server runs
 them on the existing process-pool executor under the full robustness
 stack — bounded admission with structured backpressure, per-request
 deadlines, deterministic retry on worker loss, pool rebuild and
-graceful degradation, per-session journal persistence, and
+graceful degradation, per-session persistence, and
 drain-then-exit shutdown.  SoftWear (arxiv 2004.03244) frames wear
 leveling itself as a runtime service; this package makes the same move
 for the reproduction.
@@ -17,9 +17,9 @@ for the reproduction.
   codes, frame limits;
 * :mod:`repro.serve.server` — :class:`CampaignServer`, the asyncio
   front-end over the process pool;
-* :mod:`repro.serve.session` — :class:`SessionStore`, per-session
-  exclusively-locked checkpoint journals giving bit-identical resume
-  across server restarts;
+* :mod:`repro.serve.session` — :class:`SessionStore`, one
+  content-addressed result directory per session giving bit-identical
+  resume across server restarts;
 * :mod:`repro.serve.loadgen` — the load-generator client doubling as
   the heavy-traffic benchmark and the seeded chaos harness;
 * :mod:`repro.serve.cli` — ``twl-repro serve`` / ``twl-repro loadgen``.

@@ -22,10 +22,11 @@ Responses (server → client) always echo ``id`` and carry the current
      "error": {"code": "overloaded", "message": "..."}, "degraded": false}
 
 ``source`` distinguishes fresh execution (``run``) from the shared
-content-addressed cache (``cache``), a resumed per-session journal
-record (``journal``), and a duplicate submission coalesced onto an
-in-flight execution (``coalesced``) — all four are bit-identical by the
-executor's identity contract.
+content-addressed cache (``cache``), an entry of the submitting
+session's own result directory (``journal``, the resume path), and a
+duplicate submission coalesced onto an in-flight execution
+(``coalesced``) — all four are bit-identical by the executor's identity
+contract.
 
 Cell codec
 ----------

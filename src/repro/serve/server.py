@@ -28,19 +28,20 @@ every robustness mechanism the executor stack already has:
 * **Duplicate coalescing.**  Submissions of an already-in-flight
   fingerprint await the same execution (``source: "coalesced"``) — the
   content-addressed-cache contract applied to in-flight work.
-* **Per-session persistence.**  Completed cells are journaled per
-  session (:class:`~repro.serve.session.SessionStore`); a SIGKILLed
+* **Per-session persistence.**  Completed cells are stored per
+  session, each session a :class:`~repro.exec.cache.CellCache`
+  directory (:class:`~repro.serve.session.SessionStore`); a SIGKILLed
   server restarted on the same state directory serves them back
   bit-identically (``source: "journal"``).
 * **Disconnect reclamation.**  A client that vanishes has its pending
   request tasks cancelled; executions nobody else is waiting on are
   cancelled too (reclaiming unstarted pool slots — a cell already on a
-  worker runs to completion and lands in cache/journal, so the work is
+  worker runs to completion and lands in the cache, so the work is
   banked, not wasted).
 * **Drain-then-exit.**  SIGTERM/SIGINT (CLI) or :meth:`begin_drain`
   flips the server into draining: new submissions get ``shutdown``
   rejections while admitted cells finish (bounded by ``drain_grace``),
-  then sockets close and journals release their owner locks.
+  then pending session/cache writes are flushed and sockets close.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from concurrent.futures import Future as PoolFuture
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Optional, Set
+from typing import Any, Callable, Dict, FrozenSet, Optional, Set, Tuple
 
 from ..errors import CellTimeoutError, ConfigError, ReproError
 from ..exec.cache import CellCache
@@ -103,7 +104,7 @@ DEADLINE_GRACE = 2.0
 class ServerConfig:
     """Everything one server instance is — address, state, limits."""
 
-    #: Durable state root: per-session journals under ``sessions/``,
+    #: Durable state root: per-session directories under ``sessions/``,
     #: the shared content-addressed cache under ``cache/``.  Restarting
     #: a server on the same root *is* resuming every session in it.
     state_dir: str
@@ -172,7 +173,7 @@ class SubmitRequest:
     #: The work itself — the only determinant of the result (cache
     #: fingerprint identity).
     cell: ExperimentCell
-    #: Durable scope the result is journaled under.
+    #: Durable scope the result is stored under.
     session: str = DEFAULT_SESSION
     #: Client-side correlation id, echoed verbatim.
     request_id: str = ""
@@ -250,8 +251,8 @@ class CampaignServer:
         #: Submission gate sized to the worker count: the pool never
         #: buffers more cells than it can execute (see :meth:`_execute`).
         self._pool_gate: Optional[asyncio.Semaphore] = None
-        #: Single-thread executor for journal/cache I/O: off the event
-        #: loop (flock + fsync block), single so appends stay ordered.
+        #: Single-thread executor for session/cache I/O: off the event
+        #: loop (file reads and fsync block).
         self._io: Optional[ThreadPoolExecutor] = None
         self.stats: Dict[str, int] = {
             "submitted": 0,
@@ -345,8 +346,8 @@ class CampaignServer:
         Waits up to ``drain_grace`` for the admitted count to reach
         zero; cells still running after that are abandoned to their own
         worker-side deadlines (their results, if any, still land in the
-        cache/journal via the completion callbacks that remain alive
-        until the loop stops).
+        cache via the completion callbacks that remain alive until the
+        loop stops).
         """
         self.begin_drain()
         deadline = self._clock() + self.config.drain_grace
@@ -364,14 +365,13 @@ class CampaignServer:
             self._pool = None
         io = self._io
         if io is not None:
-            # Flush pending journal/cache writes before releasing the
-            # owner locks; clear the handle first so a late request
-            # degrades to inline I/O instead of a scheduling error.
+            # Flush pending session/cache writes; clear the handle
+            # first so a late request degrades to inline I/O instead of
+            # a scheduling error.
             self._io = None
             await asyncio.get_running_loop().run_in_executor(
                 None, lambda: io.shutdown(wait=True)
             )
-        self._sessions.close()
 
     # ------------------------------------------------------------------
     # pool management
@@ -644,27 +644,28 @@ class CampaignServer:
             )
             return record
 
-        # 1. The session journal: a restarted server resumes here.
+        # 1. The session directory: a restarted server resumes here.
+        def lookup_session() -> Tuple[CellCache, Optional[CellResult]]:
+            session = self._sessions.open(request.session)
+            return session, session.get(request.cell, fingerprint)
+
         try:
-            journal = await self._run_io(
-                self._sessions.journal_for, request.session
-            )
+            session, resumed = await self._run_io(lookup_session)
         except ConfigError as error:
             self.stats["failed"] += 1
             return error_response(
                 request_id, ERROR_FAILED, str(error), degraded=self.degraded
             )
-        resumed = journal.result_for(fingerprint)
         if resumed is not None:
             self.stats["journal_hits"] += 1
             return done(resumed, "journal")
         # 2. The shared content-addressed cache.
         if self._cache is not None:
-            hit = await self._run_io(self._cache.get, request.cell)
+            hit = await self._run_io(self._cache.get, request.cell, fingerprint)
             if hit is not None:
                 self.stats["cache_hits"] += 1
                 await self._persist(
-                    journal, request.cell, fingerprint, hit, cache=False
+                    session, request.cell, fingerprint, hit, cache=False
                 )
                 return done(hit, "cache")
         # 3. Coalesce onto an in-flight duplicate.
@@ -709,7 +710,7 @@ class CampaignServer:
                 request_id, ERROR_FAILED, str(error), degraded=self.degraded
             )
         await self._persist(
-            journal, request.cell, fingerprint, result, cache=(source == "run")
+            session, request.cell, fingerprint, result, cache=(source == "run")
         )
         return done(result, source)
 
@@ -779,15 +780,14 @@ class CampaignServer:
                 entry.future.cancel()
 
     async def _run_io(self, func: Callable[..., Any], *args: Any) -> Any:
-        """Run blocking journal/cache I/O off the event-loop thread.
+        """Run blocking session/cache I/O off the event-loop thread.
 
-        A dedicated single-thread executor keeps per-session append
-        ordering while never stalling the loop on a journal's flock +
-        fsync (or a first-open load/compact) — another process holding
-        a ``.lock`` sidecar would otherwise freeze every connection.
-        In the shutdown tail, after the executor has been drained, the
-        call degrades to inline execution: the loop is about to stop,
-        and dropping the final persist would be worse than blocking.
+        A dedicated single-thread executor never stalls the loop on a
+        file read or an fsync — a slow disk would otherwise freeze every
+        connection.  In the shutdown tail, after the executor has been
+        drained, the call degrades to inline execution: the loop is
+        about to stop, and dropping the final persist would be worse
+        than blocking.
         """
         io = self._io
         if io is None:
@@ -802,18 +802,18 @@ class CampaignServer:
 
     async def _persist(
         self,
-        journal: Any,
+        session: CellCache,
         cell: ExperimentCell,
         fingerprint: str,
         result: CellResult,
         cache: bool,
     ) -> None:
-        """Bank a result durably (journal always; cache for fresh runs)."""
+        """Bank a result durably (session always; cache for fresh runs)."""
 
         def write() -> None:
-            journal.record_done(cell, fingerprint, result)
+            session.put(cell, result, fingerprint)
             if cache and self._cache is not None:
-                self._cache.put(cell, result)
+                self._cache.put(cell, result, fingerprint)
 
         await self._run_io(write)
 

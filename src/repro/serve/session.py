@@ -1,20 +1,19 @@
 """Per-session durable state for the campaign server.
 
 Every submission names a *session* — a client-chosen label scoping its
-durable progress.  Each session owns one exclusively-locked
-:class:`~repro.exec.checkpoint.CheckpointJournal` under the server's
-state directory (``<state_dir>/sessions/<name>.jsonl``): results are
-journaled as they complete, so a server killed mid-campaign and
-restarted on the same state directory serves every already-completed
-cell of every session from its journal — bit-identically, by the
-result-codec identity contract the journal shares with the cache.
+durable progress.  Each session is a private content-addressed
+directory, a :class:`~repro.exec.cache.CellCache` at
+``<state_dir>/sessions/<name>/``: results are stored there as they
+complete, so a server killed mid-campaign and restarted on the same
+state directory serves every already-completed cell of every session
+from it — bit-identically, by the result-codec identity contract every
+store shares.
 
-The ``exclusive=True`` owner lock (PR 10's journal hardening) is what
-makes per-session files safe under the server's concurrency model:
-one live server owns a session's journal; a second server pointed at
-the same state directory fails fast on that session instead of
-interleaving appends, while a lock left by a SIGKILLed server is
-detected as stale (dead pid) and broken on restart — the resume path.
+A session needs no lock.  Each entry is an fsync'd temp file renamed
+into place, and two writers of one fingerprint write identical bytes,
+so two servers sharing one state directory share a session safely.  A
+write torn by a SIGKILL leaves a stray temp file or a corrupt entry;
+:meth:`CellCache.get` quarantines the latter and the cell re-runs.
 """
 
 from __future__ import annotations
@@ -22,9 +21,9 @@ from __future__ import annotations
 import os
 import re
 import threading
-from typing import Dict, Optional
+from typing import Dict
 
-from ..exec.checkpoint import CheckpointJournal
+from ..exec.cache import CellCache
 
 __all__ = ["SessionStore", "valid_session_name", "DEFAULT_SESSION"]
 
@@ -33,7 +32,7 @@ DEFAULT_SESSION = "default"
 
 #: Session names are path components: one conservative token, no
 #: separators, no dotfiles — a hostile name must never escape the
-#: sessions directory or collide with journal sidecar suffixes.
+#: sessions directory.
 _SESSION_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 
@@ -43,56 +42,34 @@ def valid_session_name(name: str) -> bool:
 
 
 class SessionStore:
-    """Lazily-opened, exclusively-owned per-session journals.
+    """Lazily-opened per-session result directories.
 
-    Thread-safe: the server opens sessions and appends records on its
-    dedicated journal-I/O thread (blocking flock/fsync must not stall
-    the event loop), while stats queries read from the loop thread; a
-    plain lock guards the open-once map.
+    Thread-safe: the server opens sessions and reads/writes entries on
+    its dedicated I/O thread (blocking file I/O and fsync must not
+    stall the event loop), while stats queries read from the loop
+    thread; a plain lock guards the open-once map.
     """
 
     def __init__(self, root: str) -> None:
         self.root = root
         os.makedirs(root, exist_ok=True)
-        self._journals: Dict[str, CheckpointJournal] = {}
+        self._sessions: Dict[str, CellCache] = {}
         self._lock = threading.Lock()
 
-    def journal_path(self, session: str) -> str:
-        return os.path.join(self.root, f"{session}.jsonl")
+    def open(self, session: str) -> CellCache:
+        """The session's directory, created on first use.
 
-    def journal_for(self, session: str) -> CheckpointJournal:
-        """The session's journal, opened (and owner-locked) on first use.
-
-        Raises :class:`~repro.errors.ConfigError` when another live
-        process owns the session — surfaced to the client as a
-        structured rejection, never a crash.
+        Raises :class:`~repro.errors.ConfigError` when the path is not
+        usable as a directory — surfaced to the client as a structured
+        rejection, never a crash.
         """
         with self._lock:
-            journal = self._journals.get(session)
-            if journal is None:
-                journal = CheckpointJournal(
-                    self.journal_path(session), exclusive=True
-                )
-                self._journals[session] = journal
-            return journal
+            store = self._sessions.get(session)
+            if store is None:
+                store = CellCache(os.path.join(self.root, session))
+                self._sessions[session] = store
+            return store
 
     def open_count(self) -> int:
         with self._lock:
-            return len(self._journals)
-
-    def resumed_total(self) -> int:
-        """Records served from disk across all open sessions."""
-        with self._lock:
-            return sum(journal.resumed for journal in self._journals.values())
-
-    def close(self, session: Optional[str] = None) -> None:
-        """Release owner locks — one session, or all of them."""
-        with self._lock:
-            if session is not None:
-                journal = self._journals.pop(session, None)
-                if journal is not None:
-                    journal.close()
-                return
-            for journal in self._journals.values():
-                journal.close()
-            self._journals.clear()
+            return len(self._sessions)

@@ -1,13 +1,18 @@
-"""Tests for the experiment result cache."""
+"""Tests for the result store (:class:`repro.exec.cache.CellCache`) and
+the result codec every store shares."""
 
 import json
+import os
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.config import ScaledArrayConfig
+from repro.exec import CellCache, attack_cell, cell_fingerprint
+from repro.exec.cache import decode_result, encode_result
 from repro.pcm.faults import FirstFailure
-from repro.sim.cache import ResultCache, cache_key
 from repro.sim.lifetime import LifetimeResult
+
+SCALED = ScaledArrayConfig(n_pages=64, endurance_mean=768.0)
 
 
 def _result(demand=100, with_failure=True):
@@ -24,82 +29,77 @@ def _result(demand=100, with_failure=True):
     )
 
 
-class TestCacheKey:
-    def test_stable(self):
-        assert cache_key(a=1, b="x") == cache_key(a=1, b="x")
+def _cell():
+    return attack_cell("nowl", "scan", scaled=SCALED, seed=11)
 
-    def test_order_independent(self):
-        assert cache_key(a=1, b=2) == cache_key(b=2, a=1)
 
-    def test_values_matter(self):
-        assert cache_key(a=1) != cache_key(a=2)
-
-    def test_dataclasses_participate(self):
-        from repro.config import TWLConfig
-
-        assert cache_key(c=TWLConfig()) != cache_key(c=TWLConfig(toss_up_interval=4))
+def _round_trip(result):
+    """Encode, pass through JSON text as a store does, decode."""
+    kind, payload = encode_result(result)
+    return decode_result(kind, json.loads(json.dumps(payload, sort_keys=True)))
 
 
 class TestResultCache:
-    def test_roundtrip_with_failure(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = ResultCache(path)
-        cache.put("k", _result())
-        cache.save()
-        reloaded = ResultCache(path)
-        result = reloaded.get("k")
+    def test_roundtrip_with_failure(self):
+        result = _round_trip(_result())
+        assert result == _result()
         assert result.demand_writes == 100
         assert result.failure.physical_page == 3
         assert result.lifetime_fraction == pytest.approx(100 / 64000)
 
-    def test_roundtrip_without_failure(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = ResultCache(path)
-        cache.put("k", _result(with_failure=False))
-        cache.save()
-        assert ResultCache(path).get("k").failure is None
-
-    def test_get_or_run_caches(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = ResultCache(path)
-        calls = []
-
-        def run():
-            calls.append(1)
-            return _result()
-
-        first = cache.get_or_run("k", run)
-        second = cache.get_or_run("k", run)
-        assert len(calls) == 1
-        assert first.demand_writes == second.demand_writes
-        assert cache.hits == 1
-        assert cache.misses == 1
+    def test_roundtrip_without_failure(self):
+        result = _round_trip(_result(with_failure=False))
+        assert result == _result(with_failure=False)
+        assert result.failure is None
 
     def test_missing_key(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache.json"))
-        assert cache.get("nope") is None
+        cache = CellCache(str(tmp_path))
+        assert cache.get(_cell()) is None
+        assert cache.get(_cell()) is None
+        assert cache.misses == 2
+        assert cache.corrupt == 0
 
     def test_corrupt_file_rejected(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{not json")
-        with pytest.raises(SimulationError):
-            ResultCache(str(path))
+        cache = CellCache(str(tmp_path))
+        path = cache.path_for(cell_fingerprint(_cell()))
+        with open(path, "w") as handle:
+            handle.write("{not json")
+        assert cache.get(_cell()) is None
+        assert cache.corrupt == 1
+        assert os.path.exists(f"{path}.corrupt")
 
     def test_version_checked(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"version": 99, "entries": {}}))
-        with pytest.raises(SimulationError):
-            ResultCache(str(path))
-
-    def test_clear(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache.json"))
-        cache.put("k", _result())
-        cache.clear()
-        assert len(cache) == 0
+        cache = CellCache(str(tmp_path))
+        cache.put(_cell(), _result())
+        path = cache.path_for(cell_fingerprint(_cell()))
+        with open(path) as handle:
+            record = json.load(handle)
+        record["format"] = 99
+        with open(path, "w") as handle:
+            json.dump(record, handle)
+        # An entry of another format is a plain miss, never decoded.
+        assert cache.get(_cell()) is None
+        assert cache.corrupt == 0
 
     def test_atomic_save_leaves_no_temp(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = ResultCache(path)
-        cache.put("k", _result())
-        cache.save()
-        assert not (tmp_path / "cache.json.tmp").exists()
+        cache = CellCache(str(tmp_path))
+        cache.put(_cell(), _result())
+        assert os.listdir(str(tmp_path)) == [f"{cell_fingerprint(_cell())}.json"]
+        assert CellCache(str(tmp_path)).get(_cell()) == _result()
+
+    def test_put_fsyncs_before_rename(self, monkeypatch, tmp_path):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def spy_fsync(fd):
+            calls.append("fsync")
+            return real_fsync(fd)
+
+        def spy_replace(src, dst):
+            calls.append("replace")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr("repro.exec.cache.os.fsync", spy_fsync)
+        monkeypatch.setattr("repro.exec.cache.os.replace", spy_replace)
+        CellCache(str(tmp_path)).put(_cell(), _result())
+        assert calls == ["fsync", "replace"]

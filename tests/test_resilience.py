@@ -12,7 +12,7 @@ boundary via the ``REPRO_FAULTS`` environment variable:
 * a cell exceeding the per-cell timeout fails with a
   ``CellExecutionError`` naming it, and under ``keep-going`` does not
   block the remaining cells;
-* a killed campaign resumed from its checkpoint journal re-runs only
+* a killed campaign resumed from its resume directory re-runs only
   the unfinished cells and matches the clean run exactly — with the
   cache disabled.
 """
@@ -31,7 +31,6 @@ from repro.errors import (
 )
 from repro.exec import (
     CellCache,
-    CheckpointJournal,
     FailurePolicy,
     FaultPlan,
     attack_cell,
@@ -312,16 +311,16 @@ class TestCheckpointResume:
         cells = _grid()
         clean = run_cells(cells, jobs=1)
         cache = CellCache(str(tmp_path / "cache"))
-        manifest = str(tmp_path / "campaign.jsonl")
+        manifest = str(tmp_path / "campaign")
         hook = _InterruptAfter(2)
         with pytest.raises(KeyboardInterrupt):
             execute_cells(
                 cells, jobs=1, cache=cache,
-                journal=CheckpointJournal(manifest), progress=hook,
+                journal=CellCache(manifest), progress=hook,
             )
         # Completed cells are durably recorded in both stores.
         assert len(cache) == 2
-        resumed = CheckpointJournal(manifest)
+        resumed = CellCache(manifest)
         assert len(resumed) == 2
         # Resume re-runs only the unfinished cells and matches clean.
         calls = self._counting_run_cell(monkeypatch)
@@ -333,13 +332,13 @@ class TestCheckpointResume:
         cells = _grid()
         clean = run_cells(cells, jobs=1)
         cache = CellCache(str(tmp_path / "cache"))
-        manifest = str(tmp_path / "campaign.jsonl")
+        manifest = str(tmp_path / "campaign")
         with pytest.raises(KeyboardInterrupt):
             execute_cells(
                 cells, jobs=2, cache=cache,
-                journal=CheckpointJournal(manifest), progress=_InterruptAfter(2),
+                journal=CellCache(manifest), progress=_InterruptAfter(2),
             )
-        resumed = CheckpointJournal(manifest)
+        resumed = CellCache(manifest)
         assert len(resumed) >= 2
         assert len(cache) >= 2
         assert run_cells(cells, jobs=1, journal=resumed) == clean
@@ -347,57 +346,65 @@ class TestCheckpointResume:
     def test_resume_without_cache_matches_clean_run(self, monkeypatch, tmp_path):
         cells = _grid()
         clean = run_cells(cells, jobs=1)
-        manifest = str(tmp_path / "campaign.jsonl")
+        manifest = str(tmp_path / "campaign")
         with pytest.raises(KeyboardInterrupt):
             execute_cells(
                 cells, jobs=1, cache=None,
-                journal=CheckpointJournal(manifest), progress=_InterruptAfter(2),
+                journal=CellCache(manifest), progress=_InterruptAfter(2),
             )
         calls = self._counting_run_cell(monkeypatch)
-        results = run_cells(cells, jobs=1, cache=None, journal=CheckpointJournal(manifest))
+        results = run_cells(cells, jobs=1, cache=None, journal=CellCache(manifest))
         assert results == clean
         assert len(calls) == len(cells) - 2
 
     def test_fully_journaled_campaign_reruns_nothing(self, monkeypatch, tmp_path):
         cells = _grid()
-        manifest = str(tmp_path / "campaign.jsonl")
-        clean = run_cells(cells, jobs=1, journal=CheckpointJournal(manifest))
+        manifest = str(tmp_path / "campaign")
+        clean = run_cells(cells, jobs=1, journal=CellCache(manifest))
 
         def explode(cell):
             raise AssertionError("cell ran despite a complete journal")
 
         monkeypatch.setattr("repro.exec.executor.run_cell", explode)
-        outcomes = execute_cells(cells, jobs=1, journal=CheckpointJournal(manifest))
+        outcomes = execute_cells(cells, jobs=1, journal=CellCache(manifest))
         assert [outcome.result for outcome in outcomes] == clean
         assert all(outcome.resumed and outcome.cached for outcome in outcomes)
 
-    def test_journal_tolerates_truncated_final_line(self, tmp_path):
+    def test_torn_entry_is_quarantined_and_rerun(self, monkeypatch, tmp_path):
         cells = _grid()
-        manifest = str(tmp_path / "campaign.jsonl")
-        run_cells(cells[:2], jobs=1, journal=CheckpointJournal(manifest))
-        with open(manifest, "a") as handle:
-            handle.write('{"format": 1, "status": "done", "fingerpr')  # crash here
-        resumed = CheckpointJournal(manifest)
+        clean = run_cells(cells, jobs=1)
+        manifest = str(tmp_path / "campaign")
+        run_cells(cells[:2], jobs=1, journal=CellCache(manifest))
+        # A crash mid-write: one entry holds garbage, and a temp file
+        # that never got renamed into place is left behind.
+        torn = CellCache(manifest).path_for(cell_fingerprint(cells[0]))
+        with open(torn, "wb") as handle:
+            handle.write(b'{"format": 1, "kind": "lifet\x00')
+        with open(f"{torn}.123.456.7.tmp", "w") as handle:
+            handle.write('{"format": 1, "status"')
+        resumed = CellCache(manifest)
         assert len(resumed) == 2
-        # Appending after a truncated tail still yields decodable lines
-        # for the new records.
-        run_cells(cells, jobs=1, journal=resumed)
-        assert len(CheckpointJournal(manifest)) == len(cells)
+        calls = self._counting_run_cell(monkeypatch)
+        assert run_cells(cells, jobs=1, journal=resumed) == clean
+        # The torn entry alone re-ran, beside the two never-run cells.
+        assert resumed.corrupt == 1
+        assert os.path.exists(f"{torn}.corrupt")
+        assert calls == [cell.describe() for cell in (cells[0], *cells[2:])]
+        assert len(CellCache(manifest)) == len(cells)
 
     def test_failed_cells_are_rerun_on_resume(self, monkeypatch, tmp_path):
         cells = _grid()
         clean = run_cells(cells, jobs=1)
-        manifest = str(tmp_path / "campaign.jsonl")
+        manifest = str(tmp_path / "campaign")
         _arm(monkeypatch, tmp_path, mode="transient", rate=1.0, times=10, max_total=2)
         policy = FailurePolicy(
             max_retries=1, on_error=ON_ERROR_KEEP_GOING, **FAST_RETRY
         )
         with pytest.raises(CampaignError):
-            run_cells(cells, jobs=1, policy=policy, journal=CheckpointJournal(manifest))
+            run_cells(cells, jobs=1, policy=policy, journal=CellCache(manifest))
         monkeypatch.delenv(FAULTS_ENV)
-        resumed = CheckpointJournal(manifest)
+        resumed = CellCache(manifest)
         assert len(resumed) == len(cells) - 1
-        assert resumed.failed_count == 1
         assert run_cells(cells, jobs=1, journal=resumed) == clean
 
 
@@ -532,6 +539,26 @@ class TestCLIResilienceFlags:
         assert captured.out == first
         assert "(resumed)" in captured.err
 
+    def test_cli_refuses_an_old_manifest_file(self, monkeypatch, tmp_path, capsys):
+        from repro import cli
+
+        monkeypatch.setattr(cli, "quick_setup", self._tiny_setup)
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text('{"format": 1, "status": "done"}\n')
+
+        def explode(cell):
+            raise AssertionError("cell ran despite a refused --resume")
+
+        monkeypatch.setattr("repro.exec.executor.run_cell", explode)
+        argv = ["fig6", "--quick", "--no-cache", "--resume", str(manifest)]
+        assert cli.main(argv) != 0
+        captured = capsys.readouterr()
+        assert "twl-repro: error:" in captured.err
+        assert str(manifest) in captured.err
+        assert captured.out == ""
+        # The old manifest is left as it was.
+        assert manifest.read_text() == '{"format": 1, "status": "done"}\n'
+
     def test_cli_surfaces_corrupt_entries(self, monkeypatch, tmp_path, capsys):
         from repro import cli
 
@@ -659,62 +686,6 @@ class TestTimeoutOutsideMainThread:
         # No second delivery: plenty of bytecode boundaries follow.
         for _ in range(100000):
             pass
-
-
-class TestJournalCompaction:
-    """Satellite: ``compact()`` rewrites superseded journal history."""
-
-    def test_compact_drops_superseded_and_garbage(self, tmp_path):
-        cells = _grid()
-        clean = run_cells(cells, jobs=1)
-        manifest = str(tmp_path / "campaign.jsonl")
-        journal = CheckpointJournal(manifest)
-        run_cells(cells[:2], jobs=1, journal=journal)
-        # A cell that failed, then succeeded on a later attempt: the
-        # failed line is superseded history.
-        fingerprint = cell_fingerprint(cells[2])
-        journal.record_failed(cells[2], fingerprint, "transient boom")
-        journal.record_done(cells[2], fingerprint, run_cells([cells[2]])[0])
-        with open(manifest, "a") as handle:
-            handle.write("{garbage, not json\n")
-        assert sum(1 for _ in open(manifest)) == 5
-        assert journal.compact() == 2
-        assert sum(1 for _ in open(manifest)) == 3
-        reloaded = CheckpointJournal(manifest)
-        assert len(reloaded) == 3
-        assert reloaded.failed_count == 0
-        # Compacting an already-minimal journal is a no-op.
-        assert reloaded.compact() == 0
-        assert run_cells(cells, jobs=1, journal=reloaded) == clean
-
-    def test_failed_only_records_survive(self, tmp_path):
-        manifest = str(tmp_path / "campaign.jsonl")
-        journal = CheckpointJournal(manifest)
-        cell = _grid()[0]
-        journal.record_failed(cell, "fp-a", "first")
-        journal.record_failed(cell, "fp-a", "second")
-        assert journal.compact() == 1
-        reloaded = CheckpointJournal(manifest)
-        assert reloaded.failed_count == 1
-        assert len(reloaded) == 0
-
-    def test_auto_compact_on_open_past_threshold(self, tmp_path):
-        cells = _grid()
-        manifest = str(tmp_path / "campaign.jsonl")
-        journal = CheckpointJournal(manifest)
-        fingerprint = cell_fingerprint(cells[0])
-        journal.record_failed(cells[0], fingerprint, "boom")
-        journal.record_done(cells[0], fingerprint, run_cells([cells[0]])[0])
-        assert sum(1 for _ in open(manifest)) == 2
-        # Under the (default, generous) threshold: open leaves the file
-        # byte-identical.
-        before = open(manifest).read()
-        CheckpointJournal(manifest)
-        assert open(manifest).read() == before
-        # Past the threshold: open compacts.
-        compacted = CheckpointJournal(manifest, compact_bytes=1)
-        assert compacted.resumed == 1
-        assert sum(1 for _ in open(manifest)) == 1
 
 
 class TestTimeoutSnapshotCleanup:

@@ -25,6 +25,7 @@ import asyncio
 import json
 import os
 import signal
+import threading
 
 import pytest
 
@@ -614,16 +615,15 @@ class TestServerRobustnessRegressions:
         assert server.stats["failed"] == 1
 
     def test_journal_io_does_not_stall_the_event_loop(self, tmp_path):
-        """A held journal lock must not freeze unrelated connections.
+        """Blocked session I/O must not freeze unrelated connections.
 
-        Journal appends flock + fsync; run on the event-loop thread (as
-        they used to be) a foreign process holding the ``.lock``
-        sidecar froze *every* connection.  Parked on the I/O thread,
-        the loop keeps answering pings and the blocked submit completes
-        once the lock is released.
+        Session writes fsync; run on the event-loop thread, a slow disk
+        would freeze *every* connection.  Parked on the I/O thread, the
+        loop keeps answering pings and the blocked submit completes
+        once the write is released.
         """
-        fcntl = pytest.importorskip("fcntl")
         cell_a, cell_b = _cell(seed=65), _cell(seed=66)
+        release = threading.Event()
 
         async def scenario():
             server = CampaignServer(_config(tmp_path, drain_grace=0.2))
@@ -633,9 +633,14 @@ class TestServerRobustnessRegressions:
                 await submit_cell(
                     reader, writer, cell_a, "warm", session="locked"
                 )
-                lock_path = server._sessions.journal_path("locked") + ".lock"
-                handle = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-                fcntl.flock(handle, fcntl.LOCK_EX)
+                session = server._sessions.open("locked")
+                real_put = session.put
+
+                def blocking_put(*args, **kwargs):
+                    release.wait(timeout=30.0)
+                    return real_put(*args, **kwargs)
+
+                session.put = blocking_put
                 try:
                     frame = {
                         "op": "submit",
@@ -646,7 +651,7 @@ class TestServerRobustnessRegressions:
                     writer.write((json.dumps(frame) + "\n").encode())
                     await writer.drain()
                     # Let the cell execute and its persist park on the
-                    # foreign flock (settled = admission released, but
+                    # blocked put (settled = admission released, but
                     # no response written yet).
                     for _ in range(500):
                         await asyncio.sleep(0.02)
@@ -664,8 +669,7 @@ class TestServerRobustnessRegressions:
                     )
                     await _closed(w2)
                 finally:
-                    fcntl.flock(handle, fcntl.LOCK_UN)
-                    os.close(handle)
+                    release.set()
                 blocked = json.loads(
                     await asyncio.wait_for(reader.readline(), timeout=30.0)
                 )

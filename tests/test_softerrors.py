@@ -17,6 +17,7 @@ import pytest
 from repro.config import ScaledArrayConfig, SoftErrorConfig
 from repro.engine import EngineObserver, InvariantCheckObserver, SimulationEngine
 from repro.errors import ConfigError, InvariantViolation
+from repro.exec.cache import deserialize_result, serialize_result
 from repro.exec.cells import attack_cell, run_cell
 from repro.exec.hashing import cell_fingerprint
 from repro.pcm.array import PCMArray
@@ -28,7 +29,6 @@ from repro.pcm.softerrors import (
     BitTarget,
     SoftErrorInjector,
 )
-from repro.sim.cache import deserialize_result, serialize_result
 from repro.sim.drivers import AttackDriver
 from repro.sim.lifetime import run_to_failure
 from repro.sim.runner import measure_attack_lifetime
