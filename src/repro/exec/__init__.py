@@ -13,6 +13,8 @@ declarative grids of independent cells:
   :class:`CellCache` directories too;
 * :mod:`repro.exec.executor` — serial or process-pool execution with
   progress lines and per-cell timing;
+* :mod:`repro.exec.pool` — :class:`WorkerPool`, the one worker-pool
+  supervisor, shared by ``--jobs`` campaigns and :mod:`repro.serve`;
 * :mod:`repro.exec.deadline` — :class:`CellDeadline`, the portable
   any-thread per-cell wall-clock budget behind ``FailurePolicy.timeout``;
 * :mod:`repro.exec.policy` — :class:`FailurePolicy` (retries with

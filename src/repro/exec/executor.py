@@ -2,8 +2,9 @@
 
 :func:`execute_cells` takes a list of :class:`ExperimentCell` specs and
 returns their results in input order, fanning the uncached cells out
-across a :class:`concurrent.futures.ProcessPoolExecutor` when
-``jobs > 1``.  Guarantees:
+across a supervised spawn worker pool (:class:`~repro.exec.pool.WorkerPool`,
+the same supervisor :mod:`repro.serve` drives) when ``jobs > 1``.
+Guarantees:
 
 * **Bit-identical to serial.**  A cell's result is a pure function of
   its spec (all RNG streams derive from the cell seed), and workers
@@ -27,22 +28,22 @@ across a :class:`concurrent.futures.ProcessPoolExecutor` when
 * **Observable progress.**  Each completed cell emits one line —
   ``[12/40] twl_swp×scan seed=3 … 1.8s (cached)`` — through the
   ``progress`` callback (default: stderr), with per-cell wall-clock
-  timing collected in the returned :class:`CellOutcome` records.
+  timing, measured where the cell runs (never queue wait), collected
+  in the returned :class:`CellOutcome` records.
 
 Resilience is governed by a :class:`~repro.exec.policy.FailurePolicy`
 (retries with deterministic backoff, per-cell wall-clock timeout,
 ``fail-fast`` vs ``keep-going``) and an optional resume directory —
 a second :class:`~repro.exec.cache.CellCache` (crash-safe resume).
-A worker killed outright (OOM, SIGKILL) surfaces as
-``BrokenProcessPoolError``; the executor rebuilds the pool and
-re-submits the in-flight cells, degrading to serial execution once the
-pool has broken more than ``max_pool_rebuilds`` times.  The per-cell
-timeout is enforced *inside* the worker via a
-:class:`~repro.exec.deadline.CellDeadline` watchdog so no pool teardown
-is needed to reclaim a hung cell — and, unlike the earlier
-``SIGALRM``-based budget, it enforces on any thread, which is how the
-campaign server (:mod:`repro.serve`) and serially-degraded pools drive
-cells.
+A worker killed outright (OOM, SIGKILL) breaks the pool; the executor
+re-submits the in-flight cells on a rebuilt pool, and past
+``max_pool_rebuilds`` breaks each further break halves it.  At one
+worker the cells run one at a time, so a break names its cell and is
+charged to it like any other failure: a worker killer fails cells,
+never the campaign process.  The per-cell timeout is enforced *inside*
+the worker via a :class:`~repro.exec.deadline.CellDeadline` watchdog so
+no pool teardown is needed to reclaim a hung cell — and it enforces on
+any thread, which is how the campaign server drives cells.
 
 Both stores are consulted in the parent before any work is scheduled
 and written back from the parent as results arrive, so workers never
@@ -53,8 +54,9 @@ from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -72,6 +74,7 @@ from .deadline import CellDeadline, DeadlineReached
 from .faults import maybe_inject
 from .hashing import cell_fingerprint
 from .policy import DEFAULT_FAILURE_POLICY, CellFailure, FailurePolicy
+from .pool import WorkerPool
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..experiments.setups import ExperimentSetup
@@ -126,28 +129,25 @@ def _progress_line(
 def _execute_one(
     cell: ExperimentCell, timeout: Optional[float] = None
 ) -> CellResult:
-    """Worker entry point (module-level so it pickles under spawn).
+    """Run one cell the way every execution path runs it.
 
     When ``timeout`` is set, a :class:`~repro.exec.deadline.CellDeadline`
     watchdog guards the cell: expiry raises
     :class:`~repro.errors.CellTimeoutError` naming the cell.  The budget
-    is enforced worker-side so a hung cell never requires tearing down
-    the pool, and — unlike the ``SIGALRM`` interval timer it replaces —
-    it works on *any* thread: pool workers, the serial path, asyncio
-    executor threads under :mod:`repro.serve`.  Only interpreters
-    without the CPython async-exception hook degrade to unenforced
-    (with a one-line warning from :meth:`CellDeadline.arm`).
+    is enforced in the executing process, so a hung cell never requires
+    tearing down the pool, and it works on *any* thread: pool workers,
+    the serial path, asyncio executor threads under :mod:`repro.serve`.
+    Only interpreters without the CPython async-exception hook degrade
+    to unenforced (with a one-line warning from :meth:`CellDeadline.arm`).
     """
-    if timeout is None:
-        with error_context(f"cell {cell.describe()}", CellExecutionError):
-            # Pool workers are reused across cells: a kill armed for a
-            # previous cell (but never reached) must not leak.
-            engine_interrupt.clear()
-            maybe_inject(cell)
-            return run_cell(cell)
+    guard: AbstractContextManager[object] = (
+        CellDeadline(timeout) if timeout is not None else nullcontext()
+    )
     try:
-        with CellDeadline(timeout):
+        with guard:
             with error_context(f"cell {cell.describe()}", CellExecutionError):
+                # Pool workers are reused across cells: a kill armed for
+                # a previous cell (but never reached) must not leak.
                 engine_interrupt.clear()
                 maybe_inject(cell)
                 return run_cell(cell)
@@ -165,6 +165,20 @@ def _execute_one(
         raise CellTimeoutError(
             f"cell {cell.describe()} timed out after {timeout:.6g}s wall-clock"
         ) from None
+
+
+def _execute_timed(
+    cell: ExperimentCell, timeout: Optional[float] = None
+) -> Tuple[CellResult, float]:
+    """:func:`_execute_one` plus its own wall-clock seconds.
+
+    The pool entry point (module-level so it pickles under spawn): the
+    clock starts when a worker picks the cell up, so a cell queued
+    behind a slow sibling never reports the wait as its own time.
+    """
+    start = time.perf_counter()
+    result = _execute_one(cell, timeout)
+    return result, time.perf_counter() - start
 
 
 def execute_cells(
@@ -202,7 +216,6 @@ def execute_cells(
     failures: List[CellFailure] = []
     attempts: Dict[int, int] = {}
     pending: List[int] = []
-    start_times: Dict[int, float] = {}
     done = 0
 
     def note(line: str) -> None:
@@ -244,11 +257,24 @@ def execute_cells(
             f"after {attempt_count} attempt(s): {error}"
         )
 
-    def grant_retry(index: int, error: BaseException) -> bool:
-        """Charge one failed attempt; True when a retry is granted."""
+    def charge(index: int, error: BaseException) -> bool:
+        """Charge one failed attempt; True when a retry is granted.
+
+        An exhausted cell is recorded under ``keep-going`` and raised
+        under ``fail-fast`` (pool callers drain their siblings first).
+        """
+        if not isinstance(error, CellExecutionError):
+            # An exception that escaped the worker wrapper (a
+            # programming error); keep the cell identity.
+            error = CellExecutionError(
+                f"cell {cells[index].describe()}: {type(error).__name__}: {error}"
+            )
         count = attempts.get(index, 0) + 1
         attempts[index] = count
         if count > policy.max_retries:
+            if not policy.keep_going:
+                raise error
+            fail(index, error, count)
             return False
         delay = policy.retry_delay(fingerprints[index], count)
         note(
@@ -275,120 +301,93 @@ def execute_cells(
     def run_serial(indices: Sequence[int]) -> None:
         for index in indices:
             while True:
-                start = time.perf_counter()
                 try:
-                    result = _execute_one(cells[index], policy.timeout)
+                    result, seconds = _execute_timed(cells[index], policy.timeout)
                 except CellExecutionError as error:
-                    if grant_retry(index, error):
+                    if charge(index, error):
                         continue
-                    if policy.keep_going:
-                        fail(index, error, attempts[index])
-                        break
-                    raise
                 else:
-                    finish(index, result, time.perf_counter() - start)
-                    break
+                    finish(index, result, seconds)
+                break
 
-    def run_pool(indices: Sequence[int]) -> List[int]:
-        """Pool execution; returns the indices left for serial fallback."""
-        workers = min(jobs, len(indices))
-        rebuilds = 0
-        pool = ProcessPoolExecutor(max_workers=workers)
+    def run_pool(indices: Sequence[int]) -> None:
+        """Run cells on a supervised spawn pool (:class:`WorkerPool`).
+
+        Above one worker the pool is kept full: as many cells as it can
+        hold running or queued for a worker.  A break there cannot be
+        pinned on any one cell, so the in-flight cells go back to the
+        queue uncharged and the pool is rebuilt (or halved, past
+        ``max_pool_rebuilds``).  At one worker the cells run one at a
+        time, so a break names its cell and is charged to it like any
+        other :class:`~repro.errors.CellExecutionError`.
+        """
+        pool = WorkerPool(min(jobs, len(indices)), policy.max_pool_rebuilds)
+        queue = list(indices)
         futures: Dict[Future, int] = {}
-
-        def submit(index: int) -> None:
-            start_times[index] = time.perf_counter()
-            futures[pool.submit(_execute_one, cells[index], policy.timeout)] = index
-
-        def drain_on_abort() -> None:
-            """Before a fail-fast raise: cancel what we can, then bank
-            the results of every cell that still manages to finish."""
-            for future in futures:
-                future.cancel()
-            if not futures:
-                return
-            settled, _ = wait(set(futures))
-            for future in settled:
-                index = futures[future]
-                if future.cancelled() or future.exception() is not None:
-                    continue
-                finish(index, future.result(), time.perf_counter() - start_times[index])
-
-        for index in indices:
-            submit(index)
         try:
-            while futures:
+            while queue or futures:
+                # ProcessPoolExecutor holds ``workers`` running cells
+                # plus ``workers + 1`` queued for a worker; keeping no
+                # more in flight makes every submitted cell one a worker
+                # will start, so a fail-fast drain never waits on more.
+                limit = 1 if pool.workers == 1 else 2 * pool.workers + 1
+                while queue and len(futures) < limit:
+                    index = queue.pop(0)
+                    futures[pool.submit(_execute_timed, cells[index], policy.timeout)] = index
+                executor, width = pool.executor, pool.workers
                 settled, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-                successes: List[Tuple[int, CellResult]] = []
                 errors: List[Tuple[int, BaseException]] = []
                 broken: List[int] = []
                 for future in settled:
                     index = futures.pop(future)
-                    if future.cancelled():
-                        broken.append(index)
-                        continue
                     error = future.exception()
                     if error is None:
-                        successes.append((index, future.result()))
-                    elif isinstance(error, BrokenProcessPool):
+                        # Bank every finished sibling before an error in
+                        # this same batch can abort the campaign.
+                        finish(index, *future.result())
+                    elif isinstance(error, BrokenProcessPool) and width > 1:
                         broken.append(index)
                     else:
+                        # At one worker a break is its one cell's failure.
                         errors.append((index, error))
-                # Drain every finished sibling first: their results hit
-                # the cache/journal even when another future in this
-                # same batch is about to abort the campaign.
-                for index, result in successes:
-                    finish(index, result, time.perf_counter() - start_times[index])
-                for index, error in errors:
-                    if not isinstance(error, CellExecutionError):
-                        # An exception that escaped the worker wrapper
-                        # (a programming error); keep the cell identity.
-                        error = CellExecutionError(
-                            f"cell {cells[index].describe()}: "
-                            f"{type(error).__name__}: {error}"
-                        )
-                    if grant_retry(index, error):
-                        submit(index)
-                    elif policy.keep_going:
-                        fail(index, error, attempts[index])
-                    else:
-                        drain_on_abort()
-                        raise error
+                if broken or any(isinstance(e, BrokenProcessPool) for _, e in errors):
+                    pool.rebuild(executor)
                 if broken:
                     # A killed worker breaks every in-flight future at
-                    # once; gather them all and either rebuild or
-                    # degrade to serial.
-                    broken.extend(futures.values())
+                    # once, and none of them is provably the culprit.
+                    queue[:0] = sorted(broken + list(futures.values()))
                     futures.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    rebuilds += 1
-                    remaining = sorted(broken)
-                    if rebuilds > policy.max_pool_rebuilds:
-                        note(
-                            f"[warning] worker pool broke {rebuilds} time(s); "
-                            f"degrading to serial execution for "
-                            f"{len(remaining)} remaining cell(s)"
-                        )
-                        return remaining
-                    note(
-                        f"[warning] worker pool broke (crashed worker?); "
-                        f"rebuilding and re-submitting {len(remaining)} "
-                        f"in-flight cell(s) "
-                        f"(rebuild {rebuilds}/{policy.max_pool_rebuilds})"
+                    action = (
+                        "rebuilding" if pool.workers == width
+                        else f"halving to {pool.workers} worker(s)" if pool.workers > 1
+                        else "degrading to serial execution in one worker"
                     )
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                    for index in remaining:
-                        submit(index)
+                    note(
+                        f"[warning] worker pool broke {pool.rebuilds} time(s) (crashed "
+                        f"worker?); {action} for {len(queue)} remaining cell(s)"
+                    )
+                retried: List[int] = []
+                for index, error in errors:
+                    try:
+                        if charge(index, error):
+                            retried.append(index)
+                    except CellExecutionError:
+                        # Fail-fast: first bank every cell already handed
+                        # to the pool that still manages to finish.
+                        for future in wait(set(futures)).done:
+                            if future.exception() is None:
+                                finish(futures[future], *future.result())
+                        raise
+                queue[:0] = retried
             pool.shutdown(wait=True)
-            return []
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown()
 
     if pending:
         if jobs <= 1 or len(pending) == 1:
             run_serial(pending)
         else:
-            run_serial(run_pool(pending))
+            run_pool(pending)
 
     if cache is not None and report is not None and (total > 1 or cache.corrupt):
         report(cache.summary())

@@ -65,8 +65,9 @@ class FailurePolicy:
     timeout: float | None = None
     #: ``"fail-fast"`` or ``"keep-going"``.
     on_error: str = ON_ERROR_FAIL_FAST
-    #: Pool rebuilds tolerated after worker crashes before the executor
-    #: degrades to serial execution for the remaining cells.
+    #: Pool rebuilds at full width after worker crashes; each further
+    #: crash halves the pool, down to one worker that runs the
+    #: remaining cells one at a time (serial execution, out of process).
     max_pool_rebuilds: int = 2
 
     def __post_init__(self) -> None:

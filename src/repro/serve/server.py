@@ -2,8 +2,9 @@
 
 :class:`CampaignServer` accepts NDJSON frames (see
 :mod:`repro.serve.protocol`) from many concurrent clients and runs the
-submitted experiment cells on a :class:`ProcessPoolExecutor`, composing
-every robustness mechanism the executor stack already has:
+submitted experiment cells on the supervised spawn worker pool that
+batch campaigns use too (:class:`~repro.exec.pool.WorkerPool`),
+composing every robustness mechanism the executor stack already has:
 
 * **Bounded admission.**  At most ``queue_limit`` cells are admitted at
   once; the next submission is rejected with a structured
@@ -21,10 +22,9 @@ every robustness mechanism the executor stack already has:
 * **Worker-loss retry, pool rebuild, graceful degradation.**  A
   ``BrokenProcessPool`` triggers a deterministic-backoff retry
   (:meth:`FailurePolicy.retry_delay`, keyed by cell fingerprint) on a
-  rebuilt pool; past ``max_pool_rebuilds`` the pool is rebuilt at half
-  the concurrency (repeatedly, floor 1) and every subsequent response
-  carries ``degraded: true``.  A periodic health probe detects silently
-  dead pools between requests.
+  rebuilt pool; past ``max_pool_rebuilds`` each break halves the pool
+  (floor 1) and every subsequent response carries ``degraded: true``.
+  A periodic health probe detects silently dead pools between requests.
 * **Duplicate coalescing.**  Submissions of an already-in-flight
   fingerprint await the same execution (``source: "coalesced"``) — the
   content-addressed-cache contract applied to in-flight work.
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import multiprocessing
 import os
 import time
 from concurrent.futures import Future as PoolFuture
@@ -63,6 +62,7 @@ from ..exec.cells import CellResult, ExperimentCell
 from ..exec.executor import _execute_one
 from ..exec.hashing import cell_fingerprint
 from ..exec.policy import FailurePolicy
+from ..exec.pool import WorkerPool
 from .protocol import (
     ERROR_DEADLINE,
     ERROR_FAILED,
@@ -73,7 +73,6 @@ from .protocol import (
     MAX_FRAME_BYTES,
     OP_PING,
     OP_STATS,
-    OP_SUBMIT,
     PROTOCOL_VERSION,
     ProtocolError,
     decode_cell,
@@ -187,11 +186,6 @@ REQUEST_IDENTITY_FIELDS: FrozenSet[str] = frozenset({"cell", "session"})
 REQUEST_EXECUTION_FIELDS: FrozenSet[str] = frozenset({"request_id", "deadline"})
 
 
-def _probe() -> int:
-    """Pool health probe body (module-level so it pickles)."""
-    return os.getpid()
-
-
 class _ExecutionCancelled(ReproError):
     """An admitted execution was cancelled out from under its waiters.
 
@@ -238,16 +232,12 @@ class CampaignServer:
         self._retry_policy = FailurePolicy(
             max_retries=config.max_retries, backoff_base=0.05
         )
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_workers = config.workers
-        self._rebuilds = 0
-        self.degraded = False
+        self._pool = WorkerPool(config.workers, config.max_pool_rebuilds)
         self._active = 0
         self._inflight: Dict[str, _Inflight] = {}
         self._draining = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._health_task: Optional[asyncio.Task] = None
-        self._pool_lock: Optional[asyncio.Lock] = None
         #: Submission gate sized to the worker count: the pool never
         #: buffers more cells than it can execute (see :meth:`_execute`).
         self._pool_gate: Optional[asyncio.Semaphore] = None
@@ -270,29 +260,17 @@ class CampaignServer:
             "disconnects": 0,
         }
 
-    def _make_pool(self) -> ProcessPoolExecutor:
-        """A spawn-context worker pool.
-
-        Spawn, never fork: the server process runs an event loop plus
-        watchdog threads (fork is undefined behavior there), and forked
-        workers would inherit every client connection fd — so a
-        SIGKILLed server's orphaned workers would hold client sockets
-        open and the listener bound, turning instant EOFs into client
-        timeouts and blocking the restart.
-        """
-        return ProcessPoolExecutor(
-            max_workers=self._pool_workers,
-            mp_context=multiprocessing.get_context("spawn"),
-        )
+    @property
+    def degraded(self) -> bool:
+        """Whether a worker-pool break has halved the pool."""
+        return self._pool.degraded
 
     # ------------------------------------------------------------------
     # lifecycle
 
     async def start(self) -> None:
         """Bind the socket and start the pool + health loop."""
-        self._pool_lock = asyncio.Lock()
-        self._pool = self._make_pool()
-        self._pool_gate = asyncio.Semaphore(self._pool_workers)
+        self._pool_gate = asyncio.Semaphore(self._pool.workers)
         self._io = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="twl-serve-io"
         )
@@ -360,9 +338,7 @@ class CampaignServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        self._pool.shutdown()
         io = self._io
         if io is not None:
             # Flush pending session/cache writes; clear the handle
@@ -376,55 +352,19 @@ class CampaignServer:
     # ------------------------------------------------------------------
     # pool management
 
-    async def _ensure_pool(self) -> ProcessPoolExecutor:
-        assert self._pool_lock is not None
-        async with self._pool_lock:
-            if self._pool is None:
-                self._pool = self._make_pool()
-                self._pool_gate = asyncio.Semaphore(self._pool_workers)
-            return self._pool
-
-    async def _note_pool_broken(self, broken: ProcessPoolExecutor) -> None:
-        """Rebuild a crashed pool exactly once, degrading past budget.
-
-        Many requests observe the same ``BrokenProcessPool`` at once;
-        the identity check under the lock makes the first one rebuild
-        and the rest adopt the replacement.
-        """
-        assert self._pool_lock is not None
-        async with self._pool_lock:
-            if self._pool is not broken:
-                return  # someone else already rebuilt
-            broken.shutdown(wait=False, cancel_futures=True)
-            self._rebuilds += 1
+    def _note_pool_broken(self, broken: ProcessPoolExecutor) -> None:
+        """Rebuild a crashed pool (once, however many requests saw it break)."""
+        if self._pool.rebuild(broken):
             self.stats["pool_rebuilds"] += 1
-            if self._rebuilds > self.config.max_pool_rebuilds:
-                self._pool_workers = max(1, self._pool_workers // 2)
-                self.degraded = True
-            self._pool = self._make_pool()
-            # A fresh gate sized to the (possibly degraded) pool; cells
+            # A fresh gate sized to the (possibly halved) pool; cells
             # still blocked on the old gate drain as its holders finish.
-            self._pool_gate = asyncio.Semaphore(self._pool_workers)
-
-    @staticmethod
-    def _pool_looks_alive(pool: ProcessPoolExecutor) -> bool:
-        """Best-effort liveness check on the pool's worker processes.
-
-        Inspects the executor's (private) process table; an empty or
-        missing table means workers haven't spawned yet — not evidence
-        of death — so the benefit of the doubt goes to the pool.  Only
-        a table whose every process is dead reads as broken.
-        """
-        processes = getattr(pool, "_processes", None)
-        if not processes:
-            return True
-        return any(proc.is_alive() for proc in processes.values())
+            self._pool_gate = asyncio.Semaphore(self._pool.workers)
 
     async def _health_loop(self) -> None:
         """Detect silently dead pools between requests and rebuild.
 
         The probe only decides "broken" on hard evidence: a
-        ``BrokenProcessPool``/``RuntimeError`` from submission, or a
+        ``BrokenProcessPool``/``RuntimeError`` on the probe, or a
         probe timeout on a pool whose worker processes are all dead.  A
         timeout alone proves nothing — with every worker busy on long
         cells the probe just sits in the queue — so a loaded-but-alive
@@ -435,30 +375,23 @@ class CampaignServer:
         """
         while not self._draining:
             await asyncio.sleep(self.config.health_interval)
-            pool = self._pool
-            if pool is None:
-                continue
             if self._active > 0:
                 continue
-            loop = asyncio.get_running_loop()
-            try:
-                probe_future: PoolFuture = pool.submit(_probe)
-            except (BrokenProcessPool, RuntimeError):
-                await self._note_pool_broken(pool)
-                continue
+            executor = self._pool.executor
+            probe_future = self._pool.submit(os.getpid)
             try:
                 await asyncio.wait_for(
-                    asyncio.wrap_future(probe_future, loop=loop),
+                    asyncio.wrap_future(probe_future),
                     timeout=max(self.config.health_interval, 1.0),
                 )
             except asyncio.TimeoutError:
                 # Inconclusive: a submission may have raced in ahead of
                 # the probe.  Rebuild only if the workers are truly dead.
                 probe_future.cancel()
-                if not self._pool_looks_alive(pool):
-                    await self._note_pool_broken(pool)
+                if not self._pool.looks_alive():
+                    self._note_pool_broken(executor)
             except (BrokenProcessPool, RuntimeError):
-                await self._note_pool_broken(pool)
+                self._note_pool_broken(executor)
 
     # ------------------------------------------------------------------
     # connection handling
@@ -583,7 +516,7 @@ class CampaignServer:
                 "stats": dict(self.stats),
                 "active": self._active,
                 "draining": self._draining,
-                "workers": self._pool_workers,
+                "workers": self._pool.workers,
                 "sessions": self._sessions.open_count(),
             }
         return await self._respond_submit(frame, request_id)
@@ -861,17 +794,14 @@ class CampaignServer:
         backstop expiry is hard evidence of a wedged worker — the pool
         is rebuilt on the spot to reclaim it.
         """
-        loop = asyncio.get_running_loop()
         attempt = 0
         while True:
-            pool = await self._ensure_pool()
             gate = self._pool_gate
             assert gate is not None
             async with gate:
-                pool_future: PoolFuture = pool.submit(
-                    _execute_one, cell, deadline
-                )
-                wrapped = asyncio.wrap_future(pool_future, loop=loop)
+                executor = self._pool.executor
+                pool_future = self._pool.submit(_execute_one, cell, deadline)
+                wrapped = asyncio.wrap_future(pool_future)
                 try:
                     if deadline is not None:
                         return await asyncio.wait_for(
@@ -885,13 +815,13 @@ class CampaignServer:
                     # and bank the result if the cell ever finishes.
                     pool_future.cancel()
                     self._bank_abandoned(pool_future, cell)
-                    await self._note_pool_broken(pool)
+                    self._note_pool_broken(executor)
                     raise CellTimeoutError(
                         f"cell {cell.describe()} missed its {deadline:.6g}s "
                         "deadline (worker unresponsive)"
                     ) from None
                 except BrokenProcessPool:
-                    await self._note_pool_broken(pool)
+                    self._note_pool_broken(executor)
                     attempt += 1
                     if attempt > self.config.max_retries:
                         raise

@@ -434,7 +434,7 @@ class TestWorkerLossAndDegradation:
         assert response["ok"] is True
         assert response["degraded"] is True
         assert server.degraded
-        assert server._pool_workers == 1
+        assert server._pool.workers == 1
 
     def test_client_disconnect_reclaims_the_slot(self, monkeypatch, tmp_path):
         _arm(
@@ -543,7 +543,7 @@ class TestServerRobustnessRegressions:
                 first = await submit_cell(reader, writer, _cell(seed=62), "warm")
                 # Kill every worker behind the pool's back; the idle
                 # health probe must notice and rebuild.
-                for proc in list(server._pool._processes.values()):
+                for proc in list(server._pool.executor._processes.values()):
                     os.kill(proc.pid, signal.SIGKILL)
                 for _ in range(300):
                     await asyncio.sleep(0.02)
